@@ -48,7 +48,15 @@ os.environ.setdefault(
 )
 
 import pytest  # noqa: E402
+from hypothesis import settings  # noqa: E402
 from pyspark.sql import SparkSession  # noqa: E402
+
+# Property tests replay the same examples on every run: no flakes, no
+# example database on disk, and a bounded share of the suite's time.
+settings.register_profile(
+    "repro", derandomize=True, deadline=None, max_examples=200, database=None
+)
+settings.load_profile("repro")
 
 
 @pytest.fixture(scope="session")

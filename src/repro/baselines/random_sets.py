@@ -55,7 +55,8 @@ def random_baseline(
 
     Returns ``(best_gain, best_anchor_ids)``. Deterministic in ``seed``:
     trial ``i`` uses rng ``seed * 10^6 + i`` so the distributed and
-    serial paths draw identical sets.
+    serial paths draw identical sets, and ties go to the smallest trial
+    index, whatever order Spark returns the trials in.
     """
     b_eff = min(b, len(pool))
 
@@ -66,7 +67,7 @@ def random_baseline(
         return evaluate_anchor_set(g, st, frozenset(ids)), ids
 
     if spark is None or trials < spark_threshold:
-        results = [run_trial(i) for i in range(trials)]
+        results = {i: run_trial(i) for i in range(trials)}
     else:
         parts = max(1, min(spark.sparkContext.defaultParallelism * 2, trials))
         tdf = spark.createDataFrame(pd.DataFrame({"i": range(trials)})).repartition(parts)
@@ -80,9 +81,8 @@ def random_baseline(
                 yield pd.DataFrame(rows, columns=["i", "gain", "ids"])
 
         res = tdf.mapInPandas(kernel, schema="i long, gain long, ids string").toPandas()
-        results = [
-            (int(r.gain), [int(v) for v in r.ids.split(",")] if r.ids else [])
+        results = {
+            int(r.i): (int(r.gain), [int(v) for v in r.ids.split(",")] if r.ids else [])
             for r in res.itertuples(index=False)
-        ]
-    best_gain, best_ids = max(results, key=lambda t: t[0])
-    return best_gain, best_ids
+        }
+    return results[min(results, key=lambda i: (-results[i][0], i))]

@@ -18,58 +18,129 @@ with the paper's two pruning ideas:
    survive/eliminate/Retract bookkeeping (the fixpoint is unique, so
    processing order does not matter).
 
-Every edge whose ``(t, l, anchored)`` state the computation *reads* is
-recorded in ``reads`` — the GAS reuse machinery invalidates a cached
-result iff one of its read edges changed, which makes result reuse
-provably exact.
+A result is split the way its computation is. The **roots** of ``x``
+(its triangle partners, with ``x`` itself) decide which levels exist
+and where each level's route starts; each **level** ``i`` then runs its
+route search and peel independently and records every edge it read in
+its own read-set. A read of edge ``p`` at level ``i`` consults only
+``sign(t(p) - i)`` (an anchored edge counts as above ``i``) and, when
+``t(p) = i``, the layer ``l(p)``. A level's output is therefore a
+deterministic function of the recorded verdicts of its reads: while
+those verdicts and the root verdicts (:func:`root_verdict`) are
+unchanged, recomputing the level replays the same computation and
+returns the same :class:`Level`. GAS (:mod:`repro.core.greedy`) reuses
+levels on exactly that condition.
 """
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Collection
 from dataclasses import dataclass
 
 from repro.truss.local import INF_T, LocalGraph, TrussState
 
 
+@dataclass(frozen=True)
+class Level:
+    """Outcome of one trussness level of a follower computation."""
+
+    followers: frozenset[int]
+    candidates: frozenset[int]  # upward-route candidates of this level
+    reads: frozenset[int]  # every edge whose state this level consulted
+
+
 @dataclass
 class FollowerResult:
-    """Followers of one prospective anchor plus reuse bookkeeping."""
+    """Followers of one prospective anchor, per trussness level.
+
+    ``root_reads`` holds ``x`` and its triangle partners, whose verdicts
+    (:func:`root_verdict`, against ``x``'s own ``(t, l)``) decide the
+    levels; ``levels`` maps each level with at least one root to its
+    :class:`Level`. ``followers``, ``candidates`` and ``reads`` are the
+    unions over the parts.
+    """
 
     x: int
-    followers: frozenset[int]
-    candidates: frozenset[int]  # all upward-route candidates (route edges)
-    reads: frozenset[int]  # every edge whose state was consulted
+    root_reads: frozenset[int]
+    levels: dict[int, Level]
+
+    @property
+    def followers(self) -> frozenset[int]:
+        return frozenset().union(*(lv.followers for lv in self.levels.values()))
+
+    @property
+    def candidates(self) -> frozenset[int]:
+        return frozenset().union(*(lv.candidates for lv in self.levels.values()))
+
+    @property
+    def reads(self) -> frozenset[int]:
+        return self.root_reads.union(*(lv.reads for lv in self.levels.values()))
 
     @property
     def gain(self) -> int:
-        """Trussness gain of anchoring ``x`` alone (= #followers, Lemma 1)."""
-        return len(self.followers)
+        """Trussness gain of anchoring ``x`` alone (= #followers, Lemma 1).
+
+        Levels hold edges of distinct trussness, so they are disjoint.
+        """
+        return sum(len(lv.followers) for lv in self.levels.values())
+
+
+def root_verdict(tp: int, lp: int, tx: int, lx: int) -> int:
+    """What a partner edge ``p`` of ``x`` decides about ``x``'s roots.
+
+    ``INF_T`` if ``p`` is anchored; ``t(p)`` if ``p`` roots level
+    ``t(p)`` — Lemma 2 condition (i): ``t(p) > t(x)``, or ``t(p) = t(x)``
+    and ``l(p) > l(x)``; 0 if ``p`` is not a root.
+    """
+    if tp >= INF_T:
+        return INF_T
+    if tp > tx or (tp == tx and lp > lx):
+        return tp
+    return 0
 
 
 def _roots(
-    g: LocalGraph, st: TrussState, x: int, reads: set[int]
-) -> dict[int, list[int]]:
-    """Neighbour-edges of ``x`` satisfying Lemma 2 condition (i), by level.
-
-    Condition (i): ``t(e) > t(x)``, or ``t(e) = t(x)`` and
-    ``l(e) > l(x)``. Anchored edges are skipped (they have no trussness
-    to gain).
-    """
+    g: LocalGraph, st: TrussState, x: int
+) -> tuple[dict[int, list[int]], frozenset[int]]:
+    """Neighbour-edges of ``x`` that root a level, by level, and the
+    root read-set (``x`` and all its triangle partners)."""
     tx, lx = int(st.t[x]), int(st.layer[x])
     roots: dict[int, list[int]] = {}
-    seen: set[int] = set()
+    reads = {x}
     for _w, e1, e2 in g.triangles_of(x):
         for e in (e1, e2):
-            if e in seen:
-                continue
-            seen.add(e)
             reads.add(e)
-            te = int(st.t[e])
-            if te >= INF_T:
-                continue
-            if te > tx or (te == tx and int(st.layer[e]) > lx):
-                roots.setdefault(te, []).append(e)
-    return roots
+            i = root_verdict(int(st.t[e]), int(st.layer[e]), tx, lx)
+            if 0 < i < INF_T:
+                roots.setdefault(i, []).append(e)
+    return roots, frozenset(reads)
+
+
+def _route_level(
+    g: LocalGraph,
+    st: TrussState,
+    x: int,
+    i: int,
+    roots: list[int],
+    reads: set[int],
+) -> set[int]:
+    """Level-``i`` upward-route candidates: BFS from the level's roots,
+    expanding from edge ``e`` to any neighbour-edge ``e'`` with
+    ``t(e') = i`` and ``e < e'`` in deletion order (Definition 7)."""
+    level: set[int] = set(roots)
+    queue = deque(roots)
+    while queue:
+        e = queue.popleft()
+        oe = st.order(e)
+        for _w, e1, e2 in g.triangles_of(e):
+            for p in (e1, e2):
+                if p in level:
+                    continue
+                reads.add(p)
+                if int(st.t[p]) == i and p != x and oe <= st.order(p):
+                    level.add(p)
+                    queue.append(p)
+    return level
 
 
 def upward_candidates(
@@ -77,33 +148,12 @@ def upward_candidates(
 ) -> tuple[dict[int, set[int]], set[int]]:
     """Upward-route candidate followers of ``x``, grouped by trussness.
 
-    Per level ``i``: BFS from the level-``i`` roots, expanding from
-    edge ``e`` to any neighbour-edge ``e'`` with ``t(e') = i`` and
-    ``e < e'`` in deletion order (Definition 7). Returns the per-level
-    candidate sets and the read-set of consulted edges.
+    Returns the per-level candidate sets and the read-set of consulted
+    edges.
     """
-    reads: set[int] = {x}
-    roots = _roots(g, st, x, reads)
-    cands: dict[int, set[int]] = {}
-    for i, rs in roots.items():
-        level: set[int] = set(rs)
-        queue = deque(rs)
-        while queue:
-            e = queue.popleft()
-            oe = st.order(e)
-            for _w, e1, e2 in g.triangles_of(e):
-                for p in (e1, e2):
-                    if p in level:
-                        continue
-                    reads.add(p)
-                    if (
-                        int(st.t[p]) == i
-                        and p != x
-                        and oe <= st.order(p)
-                    ):
-                        level.add(p)
-                        queue.append(p)
-        cands[i] = level
+    roots, root_reads = _roots(g, st, x)
+    reads = set(root_reads)
+    cands = {i: _route_level(g, st, x, i, rs, reads) for i, rs in roots.items()}
     return cands, reads
 
 
@@ -157,21 +207,25 @@ def _peel_level(
     return survivors
 
 
-def get_followers(g: LocalGraph, st: TrussState, x: int) -> FollowerResult:
+def _level(
+    g: LocalGraph, st: TrussState, x: int, i: int, roots: list[int]
+) -> Level:
+    """Route search and peel of level ``i``, with the level's own reads."""
+    reads = set(roots)
+    cand = _route_level(g, st, x, i, roots, reads)
+    followers = _peel_level(g, st, x, i, cand, reads)
+    return Level(frozenset(followers), frozenset(cand), frozenset(reads))
+
+
+def get_followers(
+    g: LocalGraph, st: TrussState, x: int, skip: Collection[int] = ()
+) -> FollowerResult:
     """``F(x, G_A)`` — the exact follower set of anchoring edge ``x``.
 
     ``st`` must be the decomposition of the current (possibly already
-    anchored) graph; ``x`` must not itself be anchored.
+    anchored) graph; ``x`` must not itself be anchored. Levels in
+    ``skip`` are left out of the result: the caller already holds them.
     """
-    cands, reads = upward_candidates(g, st, x)
-    followers: set[int] = set()
-    all_cands: set[int] = set()
-    for i, cand in cands.items():
-        all_cands |= cand
-        followers |= _peel_level(g, st, x, i, cand, reads)
-    return FollowerResult(
-        x=x,
-        followers=frozenset(followers),
-        candidates=frozenset(all_cands),
-        reads=frozenset(reads),
-    )
+    roots, root_reads = _roots(g, st, x)
+    levels = {i: _level(g, st, x, i, rs) for i, rs in roots.items() if i not in skip}
+    return FollowerResult(x=x, root_reads=root_reads, levels=levels)

@@ -11,42 +11,74 @@ candidate is evaluated:
 * **BASE+** evaluates a candidate with the upward-route + support-check
   follower kernel (Algorithm 3): only the route neighbourhood is
   visited.
-* **GAS** additionally caches each candidate's follower result together
-  with its *read-set* and recomputes only candidates whose read edges
-  changed ``(t, l, anchored)`` state since they were computed — an
-  exact-by-construction realisation of Algorithm 6's reuse rule. The
-  paper's truss-component tree is rebuilt each round to report the
-  FR / PR / NR reuse statistics of Exp-8 (see DESIGN.md for why the
-  executable reuse test is the read-set, not the tree).
+* **GAS** additionally caches each candidate's follower result, split
+  into its root reads and one part per trussness level
+  (:mod:`repro.core.followers`), and after each anchoring drops only
+  what the state change may have altered. For every edge ``p`` whose
+  ``(t, l)`` moved to ``(t', l')`` (the new anchor included; an
+  anchored edge counts as ``t > i`` for every level ``i``):
+
+  - the whole entry of ``x`` is dropped if ``p = x``, or if ``p`` is a
+    triangle partner of ``x`` whose root verdict
+    (:func:`~repro.core.followers.root_verdict`: anchored / root at
+    level ``t`` / not a root) changed;
+  - otherwise level ``i`` of the entry is dropped if ``p`` is in that
+    level's read-set and ``sign(t - i) != sign(t' - i)``, or
+    ``i ∈ {t, t'}`` and ``l != l'``.
+
+  The rule is exact. A level reads, of each edge, only its trussness
+  relative to ``i`` and, at ``t = i``, its layer, so its output is a
+  deterministic function of the recorded verdicts of its reads; where
+  none moved and the roots are the same, recomputing replays the same
+  computation. A candidate missing some levels recomputes its roots
+  (one pass over the triangles of ``x``) and only those levels, so the
+  paper's partially-reusable (PR) class of Exp-8 is executed, not only
+  reported, beside the fully reusable (FR) entries kept whole and the
+  not-reusable (NR) ones dropped whole. The truss component tree
+  itself is rebuilt only to report those classes (``track_tree``; see
+  DESIGN.md for why the executable test is the read-set, not the tree).
+
+Each round is reported as a :class:`RoundStats`: ``best`` and ``gain``;
+``evaluated``, the candidates with any recomputation, and ``reused``,
+the rest; ``levels_recomputed``, the (candidate, level) follower
+computations run; ``changed``, the edges whose ``(t, l)`` the
+anchoring moved, the anchor included; ``invalidated``, the cached
+entries it dropped whole (GAS only); ``seconds``; and
+``reuse_classes``, the FR / PR / NR counts when the tree is tracked.
 
 Candidate evaluation is the hot loop and is *embarrassingly parallel
 across candidates*, so it fans out over Spark: candidate edge ids are a
 DataFrame, the (small) graph + decomposition state ride in the task
-closure, and ``mapInPandas`` runs the local kernel per batch. Below
-``spark_threshold`` candidates the driver evaluates directly — task
-overhead would dominate.
+closure, and ``mapInPandas`` runs the local kernel per batch, returning
+one row per (candidate, level). Below ``spark_threshold`` candidates
+the driver evaluates directly — task overhead would dominate.
 """
 from __future__ import annotations
 
+import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
+import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.core.followers import FollowerResult, get_followers
+from repro.core.followers import FollowerResult, Level, get_followers, root_verdict
 from repro.core.tree import build_tree, classify_reuse, expired_nodes, node_signature
 from repro.truss.local import LocalGraph, TrussState, decompose
 
 
 @dataclass
 class RoundStats:
-    """Per-round diagnostics of one greedy iteration."""
+    """Per-round diagnostics of one greedy iteration (fields: module docstring)."""
 
     best: int
     gain: int
     evaluated: int
     reused: int
+    levels_recomputed: int
+    changed: int
+    invalidated: int
     seconds: float
     reuse_classes: dict[str, int] = field(default_factory=dict)
 
@@ -69,56 +101,131 @@ class GreedyResult:
     _edges: list[tuple[int, int]] = field(default_factory=list)
 
 
+def _complete(partial: dict[int, FollowerResult], fr: FollowerResult) -> FollowerResult:
+    """``fr`` with the levels ``partial`` kept for its candidate merged in."""
+    kept = partial.get(fr.x)
+    return replace(fr, levels={**kept.levels, **fr.levels}) if kept else fr
+
+
 def _eval_followers_local(
-    g: LocalGraph, st: TrussState, cand: list[int]
+    g: LocalGraph,
+    st: TrussState,
+    partial: dict[int, FollowerResult],
+    cand: list[int],
 ) -> dict[int, FollowerResult]:
-    return {e: get_followers(g, st, e) for e in cand}
+    """Complete follower results of ``cand``, computing only the levels
+    that ``partial`` does not hold."""
+    return {
+        e: _complete(
+            partial, get_followers(g, st, e, partial[e].levels if e in partial else ())
+        )
+        for e in cand
+    }
+
+
+def _join(ids) -> str:
+    return ",".join(map(str, sorted(ids)))
+
+
+def _split(s: str) -> frozenset[int]:
+    return frozenset(int(v) for v in s.split(",")) if s else frozenset()
 
 
 def _eval_followers_spark(
-    spark: SparkSession, g: LocalGraph, st: TrussState, cand: list[int]
+    spark: SparkSession,
+    g: LocalGraph,
+    st: TrussState,
+    partial: dict[int, FollowerResult],
+    cand: list[int],
 ) -> dict[int, FollowerResult]:
     """Fan the follower kernel out over Spark tasks.
 
-    Follower / read sets come back as comma-joined id strings — scalar
-    columns keep the Arrow exchange trivial and the result is tiny.
+    Same contract as :func:`_eval_followers_local`. Each candidate
+    ships with the levels to skip and comes back as one row for its
+    root reads (level 0, never a trussness) plus one row per computed
+    level. Id sets are comma-joined strings — scalar columns keep the
+    Arrow exchange trivial and the result is tiny.
     """
     parts = max(1, min(spark.sparkContext.defaultParallelism * 2, len(cand) // 32 + 1))
-    ids = spark.createDataFrame(pd.DataFrame({"eid": cand})).repartition(parts)
+    skip = [_join(partial[e].levels) if e in partial else "" for e in cand]
+    ids = spark.createDataFrame(pd.DataFrame({"eid": cand, "skip": skip})).repartition(parts)
 
     def kernel(batches):
         for pdf in batches:
             rows = []
-            for e in pdf["eid"]:
-                fr = get_followers(g, st, int(e))
-                rows.append(
-                    (
-                        int(e),
-                        ",".join(map(str, sorted(fr.followers))),
-                        ",".join(map(str, sorted(fr.reads))),
-                        ",".join(map(str, sorted(fr.candidates))),
+            for e, sk in zip(pdf["eid"], pdf["skip"]):
+                fr = get_followers(g, st, int(e), _split(sk))
+                rows.append((fr.x, 0, "", "", _join(fr.root_reads)))
+                for i, lv in fr.levels.items():
+                    rows.append(
+                        (fr.x, i, _join(lv.followers), _join(lv.candidates), _join(lv.reads))
                     )
-                )
             yield pd.DataFrame(
-                rows, columns=["eid", "followers", "reads", "cands"]
+                rows, columns=["eid", "level", "followers", "cands", "reads"]
             )
 
     res = ids.mapInPandas(
-        kernel, schema="eid long, followers string, reads string, cands string"
+        kernel,
+        schema="eid long, level long, followers string, cands string, reads string",
     ).toPandas()
-    out: dict[int, FollowerResult] = {}
-
-    def ids_of(s: str) -> frozenset[int]:
-        return frozenset(int(v) for v in s.split(",")) if s else frozenset()
-
+    roots: dict[int, frozenset[int]] = {}
+    levels: dict[int, dict[int, Level]] = {e: {} for e in cand}
     for row in res.itertuples(index=False):
-        out[int(row.eid)] = FollowerResult(
-            x=int(row.eid),
-            followers=ids_of(row.followers),
-            candidates=ids_of(row.cands),
-            reads=ids_of(row.reads),
+        e, i = int(row.eid), int(row.level)
+        if i == 0:
+            roots[e] = _split(row.reads)
+        else:
+            levels[e][i] = Level(
+                _split(row.followers), _split(row.cands), _split(row.reads)
+            )
+    return {
+        e: _complete(partial, FollowerResult(x=e, root_reads=roots[e], levels=levels[e]))
+        for e in cand
+    }
+
+
+def _invalidate(
+    g: LocalGraph,
+    cache: dict[int, FollowerResult],
+    prev: TrussState,
+    st: TrussState,
+    changed: np.ndarray,
+) -> tuple[int, dict[int, FollowerResult]]:
+    """Apply GAS's reuse rule (module docstring) to the change ``prev → st``.
+
+    ``changed`` holds the edges whose ``(t, l)`` moved. Removes every
+    entry the rule touches from ``cache`` and returns how many were
+    dropped whole, and the entries dropped in part, each holding the
+    levels it keeps.
+    """
+    whole = set(changed.tolist())
+    for p in changed.tolist():
+        old = int(prev.t[p]), int(prev.layer[p])
+        new = int(st.t[p]), int(st.layer[p])
+        for _w, e1, e2 in g.triangles_of(p):
+            for x in (e1, e2):
+                if x in cache and x not in whole:
+                    tx, lx = int(st.t[x]), int(st.layer[x])
+                    if root_verdict(*old, tx, lx) != root_verdict(*new, tx, lx):
+                        whole.add(x)
+    invalidated = sum(cache.pop(x, None) is not None for x in whole)
+
+    pt, nt = prev.t[changed], st.t[changed]
+    pl, nl = prev.layer[changed], st.layer[changed]
+    flipped: dict[int, set[int]] = {}
+    for i in {i for fr in cache.values() for i in fr.levels}:
+        moved = (np.sign(pt - i) != np.sign(nt - i)) | (
+            ((pt == i) | (nt == i)) & (pl != nl)
         )
-    return out
+        flipped[i] = set(changed[moved].tolist())
+    partial: dict[int, FollowerResult] = {}
+    for x, fr in cache.items():
+        kept = {i: lv for i, lv in fr.levels.items() if lv.reads.isdisjoint(flipped[i])}
+        if len(kept) < len(fr.levels):
+            partial[x] = replace(fr, levels=kept)
+    for x in partial:
+        del cache[x]
+    return invalidated, partial
 
 
 def _eval_gain_by_decomp_spark(
@@ -179,11 +286,14 @@ def run_greedy(
     """
     if method not in {"base", "base+", "gas"}:
         raise ValueError(f"unknown method {method!r}")
+    if isinstance(b, bool) or not isinstance(b, numbers.Integral) or b < 0:
+        raise ValueError(f"budget b must be a non-negative integer, got {b!r}")
     t_start = time.perf_counter()
     anchors: set[int] = set()
     st = decompose(g, frozenset())
     st0_t = st.t.copy()
-    cache: dict[int, FollowerResult] = {}
+    cache: dict[int, FollowerResult] = {}  # complete results, reusable as they are
+    partial: dict[int, FollowerResult] = {}  # results missing the levels last dropped
     rounds: list[RoundStats] = []
     tree = build_tree(g, st) if track_tree else None
     sig = node_signature(tree, st) if track_tree else None
@@ -193,6 +303,7 @@ def run_greedy(
         cand = [e for e in range(g.m) if e not in anchors]
         if not cand:
             break
+        levels_recomputed = 0
         if method == "base":
             gains = (
                 _eval_gain_by_decomp_spark(spark, g, st, frozenset(anchors), cand)
@@ -210,18 +321,23 @@ def run_greedy(
                 stale = cand
                 cache.clear()
             fresh = (
-                _eval_followers_spark(spark, g, st, stale)
+                _eval_followers_spark(spark, g, st, partial, stale)
                 if len(stale) >= spark_threshold
-                else _eval_followers_local(g, st, stale)
+                else _eval_followers_local(g, st, partial, stale)
+            )
+            levels_recomputed = sum(len(fr.levels) for fr in fresh.values()) - sum(
+                len(fr.levels) for fr in partial.values()
             )
             cache.update(fresh)
+            partial = {}
             gains = {e: cache[e].gain for e in cand}
             evaluated, reused = len(stale), len(cand) - len(stale)
 
         best, gain = _pick_best(gains)
         anchors.add(best)
-        prev_t, prev_l = st.t.copy(), st.layer.copy()
+        prev = st
         st = decompose(g, frozenset(anchors))
+        changed = np.flatnonzero((st.t != prev.t) | (st.layer != prev.layer))
 
         reuse_classes: dict[str, int] = {}
         if track_tree:
@@ -233,23 +349,18 @@ def run_greedy(
                 reuse_classes[v] = reuse_classes.get(v, 0) + 1
             tree, sig = new_tree, new_sig
 
+        invalidated = 0
         if method == "gas":
-            changed = {
-                e
-                for e in range(g.m)
-                if int(st.t[e]) != int(prev_t[e]) or int(st.layer[e]) != int(prev_l[e])
-            }
-            changed.add(best)
-            cache.pop(best, None)
-            if changed:
-                for e in [e for e, fr in cache.items() if fr.reads & changed]:
-                    del cache[e]
+            invalidated, partial = _invalidate(g, cache, prev, st, changed)
         rounds.append(
             RoundStats(
                 best=best,
                 gain=gain,
                 evaluated=evaluated,
                 reused=reused,
+                levels_recomputed=levels_recomputed,
+                changed=len(changed),
+                invalidated=invalidated,
                 seconds=time.perf_counter() - r_start,
                 reuse_classes=reuse_classes,
             )

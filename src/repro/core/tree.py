@@ -14,8 +14,8 @@ anchoring, nodes whose membership or internal ``(t, l)`` order changed
 are *expired*; an edge whose ``sla`` hits no expired node has a fully
 reusable follower result (Algorithm 5's ``rn(e)``).
 
-GAS executes reuse with an exact per-candidate read-set check (see
-:mod:`repro.core.followers`); the tree is used for Lemma 4 / reuse
+GAS executes reuse with an exact per-level read-set check (see
+:mod:`repro.core.greedy`); the tree is used for Lemma 4 / reuse
 reporting (the paper's FR / PR / NR classification, Exp-8) and is
 verified against brute force in tests.
 """

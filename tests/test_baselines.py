@@ -1,5 +1,6 @@
 """Rand / Sup / Tur random baselines and the AKT vertex baseline."""
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro.baselines.akt import (
@@ -60,6 +61,20 @@ def test_random_spark_matches_serial(spark, graph):
     serial = random_baseline(None, g, st, 3, np.arange(g.m), trials=12, seed=3)
     dist = random_baseline(spark, g, st, 3, np.arange(g.m), trials=12, seed=3, spark_threshold=0)
     assert serial == dist
+
+
+def test_random_spark_ties_go_to_smallest_trial(spark):
+    """On a triangle-free graph every trial gains 0, so all trials tie and
+    both paths must return trial 0's anchor set, whatever order Spark
+    returns the trials in."""
+    n = 40
+    g = LocalGraph(pd.DataFrame({"src": range(n), "dst": [(v + 1) % n for v in range(n)]}))
+    st = decompose(g)
+    serial = random_baseline(None, g, st, 3, np.arange(g.m), trials=64, seed=4)
+    dist = random_baseline(spark, g, st, 3, np.arange(g.m), trials=64, seed=4, spark_threshold=0)
+    assert serial == random_baseline(None, g, st, 3, np.arange(g.m), trials=1, seed=4)
+    assert serial[0] == 0
+    assert dist == serial
 
 
 def test_greedy_beats_random_baselines(graph):

@@ -1,7 +1,17 @@
 """BASE / BASE+ / GAS equivalence, caching exactness, Spark fan-out."""
+import numpy as np
+import pandas as pd
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
-from repro.core.greedy import get_followers_by_decomp, run_greedy
+from repro.core.followers import get_followers
+from repro.core.greedy import (
+    _eval_followers_local,
+    _invalidate,
+    get_followers_by_decomp,
+    run_greedy,
+)
 from repro.graphs.gen import community_graph, random_graph
 from repro.graphs.toys import truss_ladder
 from repro.truss.local import LocalGraph, decompose
@@ -50,6 +60,25 @@ def test_gas_reuses_cache():
     assert any(rd.reused > 0 for rd in r.rounds[1:])
 
 
+def test_round_stats_count_reuse():
+    """Per-round counts: every candidate is evaluated or reused, the
+    anchor is among the changed edges and its own entry is dropped
+    whole, and GAS recomputes fewer levels than BASE+ after round 1."""
+    g = LocalGraph(
+        community_graph(n=60, n_cliques=25, clique_max=8, n_noise=20, drop_frac=0.1, seed=2)
+    )
+    gas = run_greedy(None, g, 4, "gas", spark_threshold=LOCAL)
+    bp = run_greedy(None, g, 4, "base+", spark_threshold=LOCAL)
+    for r, (rg, rp) in enumerate(zip(gas.rounds, bp.rounds)):
+        assert rg.evaluated + rg.reused == rp.evaluated == g.m - r
+        assert rg.changed == rp.changed >= 1
+        assert rg.invalidated >= 1 and rp.invalidated == 0
+    assert gas.rounds[0].levels_recomputed == bp.rounds[0].levels_recomputed > 0
+    assert sum(r.levels_recomputed for r in gas.rounds[1:]) < sum(
+        r.levels_recomputed for r in bp.rounds[1:]
+    )
+
+
 def test_anchors_are_distinct_and_valid():
     g = LocalGraph(truss_ladder())
     r = run_greedy(None, g, 5, "gas", spark_threshold=LOCAL)
@@ -62,6 +91,18 @@ def test_budget_capped_by_edge_count():
     g = LocalGraph(truss_ladder())
     r = run_greedy(None, g, g.m + 10, "base+", spark_threshold=LOCAL)
     assert len(r.anchors) <= g.m
+
+
+@pytest.mark.parametrize("b", [-1, 2.5, True, "3"])
+def test_bad_budget_raises(b):
+    g = LocalGraph(truss_ladder())
+    with pytest.raises(ValueError, match="budget b must be a non-negative integer"):
+        run_greedy(None, g, b, "gas", spark_threshold=LOCAL)
+
+
+def test_zero_budget_anchors_nothing():
+    r = run_greedy(None, LocalGraph(truss_ladder()), 0, "gas", spark_threshold=LOCAL)
+    assert r.anchors == [] and r.total_gain == 0
 
 
 def test_unknown_method_raises():
@@ -80,8 +121,6 @@ def test_track_tree_reports_classes():
 
 
 def test_base_followers_by_decomp_matches_kernel():
-    from repro.core.followers import get_followers
-
     g = LocalGraph(community_graph(n=35, n_cliques=12, n_noise=10, drop_frac=0.12, seed=5))
     st = decompose(g)
     for x in range(0, g.m, 4):
@@ -120,3 +159,56 @@ def test_base_plus_spark_path_matches_local(spark):
     dist = run_greedy(spark, g, 2, "base+", spark_threshold=0)
     assert local.anchors == dist.anchors
     assert local.total_gain == dist.total_gain
+
+
+# ---- per-level reuse rule (property tests) -----------------------------
+
+@st.composite
+def graph_and_anchors(draw):
+    """A random graph on at most 12 vertices and a random anchor order."""
+    n = draw(st.integers(4, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = [p for p, k in zip(pairs, keep) if k]
+    assume(len(edges) >= 3)
+    g = LocalGraph(pd.DataFrame(edges, columns=["src", "dst"]))
+    order = draw(st.permutations(range(g.m)))
+    return g, order[: draw(st.integers(1, min(4, g.m)))]
+
+
+@given(graph_and_anchors())
+def test_reuse_rule_keeps_only_exact_levels(case):
+    """After each anchoring, every entry and level the rule keeps equals
+    a fresh computation, and completing the partial entries gives the
+    fresh result for every candidate."""
+    g, seq = case
+    state = decompose(g)
+    cache = _eval_followers_local(g, state, {}, list(range(g.m)))
+    anchors: set[int] = set()
+    for a in seq:
+        anchors.add(a)
+        prev, state = state, decompose(g, frozenset(anchors))
+        changed = np.flatnonzero((state.t != prev.t) | (state.layer != prev.layer))
+        _, partial = _invalidate(g, cache, prev, state, changed)
+        assert not anchors & (cache.keys() | partial.keys())
+        for x, fr in cache.items():
+            assert fr == get_followers(g, state, x)
+        for x, fr in partial.items():
+            fresh = get_followers(g, state, x)
+            assert fr.levels.keys() < fresh.levels.keys()
+            assert all(fresh.levels[i] == lv for i, lv in fr.levels.items())
+        cand = [e for e in range(g.m) if e not in anchors]
+        cache.update(
+            _eval_followers_local(g, state, partial, [e for e in cand if e not in cache])
+        )
+        assert all(cache[e] == get_followers(g, state, e) for e in cand)
+
+
+@given(graph_and_anchors())
+def test_gas_matches_base_plus_on_random_graphs(case):
+    g, seq = case
+    gas = run_greedy(None, g, len(seq), "gas", spark_threshold=LOCAL)
+    bp = run_greedy(None, g, len(seq), "base+", spark_threshold=LOCAL)
+    assert gas.anchors == bp.anchors
+    assert [r.gain for r in gas.rounds] == [r.gain for r in bp.rounds]
+    assert gas.total_gain == bp.total_gain
