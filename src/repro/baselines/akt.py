@@ -24,9 +24,9 @@ from __future__ import annotations
 
 from collections import deque
 
-import pandas as pd
 from pyspark.sql import SparkSession
 
+from repro.fanout import fan_out
 from repro.truss.local import LocalGraph, TrussState
 
 
@@ -124,26 +124,7 @@ def akt_greedy(
         def objective_of(v: int) -> int:
             return anchored_ktruss_counts(g, st, k, frozenset(anchored | {v}))[0]
 
-        if spark is None or len(cands) < spark_threshold:
-            scored = {v: objective_of(v) for v in cands}
-        else:
-            parts = max(
-                1,
-                min(spark.sparkContext.defaultParallelism * 2, len(cands) // 8 + 1),
-            )
-            vdf = spark.createDataFrame(pd.DataFrame({"v": cands})).repartition(parts)
-
-            def kernel(batches):
-                for pdf in batches:
-                    yield pd.DataFrame(
-                        {
-                            "v": pdf["v"],
-                            "obj": [objective_of(int(v)) for v in pdf["v"]],
-                        }
-                    )
-
-            res = vdf.mapInPandas(kernel, schema="v long, obj long").toPandas()
-            scored = {int(r.v): int(r.obj) for r in res.itertuples(index=False)}
+        scored = dict(zip(cands, fan_out(spark, objective_of, cands, spark_threshold)))
         v_best = min(scored, key=lambda v: (-scored[v], v))
         anchored.add(v_best)
     gain = anchored_ktruss_gain(g, st, k, frozenset(anchored))

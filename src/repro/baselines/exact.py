@@ -6,13 +6,13 @@ tests and in the Exp-2-style harness. Combinations fan out over Spark.
 """
 from __future__ import annotations
 
+import functools
 from itertools import combinations
 
-import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.baselines.random_sets import evaluate_anchor_set
-from repro.truss.local import LocalGraph, TrussState
+from repro.fanout import fan_out
+from repro.truss.local import LocalGraph, TrussState, trussness_gain
 
 
 def exact_best(
@@ -28,28 +28,7 @@ def exact_best(
     tie-breaking.
     """
     combos = list(combinations(range(g.m), b))
-
-    def gain_of(c: tuple[int, ...]) -> int:
-        return evaluate_anchor_set(g, st, frozenset(c))
-
-    if spark is None or len(combos) < spark_threshold:
-        scored = [(gain_of(c), list(c)) for c in combos]
-    else:
-        pdf = pd.DataFrame({"i": range(len(combos))})
-        parts = max(1, min(spark.sparkContext.defaultParallelism * 2, len(combos) // 8 + 1))
-        cdf = spark.createDataFrame(pdf).repartition(parts)
-
-        def kernel(batches):
-            for batch in batches:
-                rows = []
-                for i in batch["i"]:
-                    c = combos[int(i)]
-                    rows.append((int(i), gain_of(c)))
-                yield pd.DataFrame(rows, columns=["i", "gain"])
-
-        res = cdf.mapInPandas(kernel, schema="i long, gain long").toPandas()
-        scored = [
-            (int(r.gain), list(combos[int(r.i)])) for r in res.itertuples(index=False)
-        ]
-    best = max(scored, key=lambda t: (t[0], [-x for x in t[1]]))
-    return best[0], best[1]
+    gains = fan_out(
+        spark, functools.partial(trussness_gain, g, st), map(frozenset, combos), spark_threshold
+    )
+    return max(zip(gains, map(list, combos)), key=lambda t: (t[0], [-x for x in t[1]]))

@@ -16,10 +16,10 @@ graph in the task closure).
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.truss.local import LocalGraph, TrussState, decompose
+from repro.fanout import fan_out
+from repro.truss.local import LocalGraph, TrussState, trussness_gain
 
 
 def top_frac_pool(scores: np.ndarray, frac: float = 0.2) -> np.ndarray:
@@ -27,18 +27,6 @@ def top_frac_pool(scores: np.ndarray, frac: float = 0.2) -> np.ndarray:
     m = len(scores)
     k = max(1, int(m * frac))
     return np.argsort(-scores, kind="stable")[:k]
-
-
-def evaluate_anchor_set(g: LocalGraph, st: TrussState, anchors: frozenset[int]) -> int:
-    """``TG(A, G)`` of an arbitrary anchor set by full decomposition."""
-    after = decompose(g, anchors)
-    return int(
-        sum(
-            int(after.t[e]) - int(st.t[e])
-            for e in range(g.m)
-            if e not in anchors
-        )
-    )
 
 
 def random_baseline(
@@ -62,27 +50,8 @@ def random_baseline(
 
     def run_trial(i: int) -> tuple[int, list[int]]:
         rng = np.random.default_rng(seed * 1_000_000 + i)
-        pick = rng.choice(pool, size=b_eff, replace=False)
-        ids = [int(v) for v in pick]
-        return evaluate_anchor_set(g, st, frozenset(ids)), ids
+        ids = [int(v) for v in rng.choice(pool, size=b_eff, replace=False)]
+        return trussness_gain(g, st, ids), ids
 
-    if spark is None or trials < spark_threshold:
-        results = {i: run_trial(i) for i in range(trials)}
-    else:
-        parts = max(1, min(spark.sparkContext.defaultParallelism * 2, trials))
-        tdf = spark.createDataFrame(pd.DataFrame({"i": range(trials)})).repartition(parts)
-
-        def kernel(batches):
-            for pdf in batches:
-                rows = []
-                for i in pdf["i"]:
-                    gain, ids = run_trial(int(i))
-                    rows.append((int(i), gain, ",".join(map(str, ids))))
-                yield pd.DataFrame(rows, columns=["i", "gain", "ids"])
-
-        res = tdf.mapInPandas(kernel, schema="i long, gain long, ids string").toPandas()
-        results = {
-            int(r.i): (int(r.gain), [int(v) for v in r.ids.split(",")] if r.ids else [])
-            for r in res.itertuples(index=False)
-        }
-    return results[min(results, key=lambda i: (-results[i][0], i))]
+    # max keeps the first of equal gains: the smallest trial index.
+    return max(fan_out(spark, run_trial, range(trials), spark_threshold), key=lambda r: r[0])

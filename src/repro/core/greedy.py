@@ -47,25 +47,25 @@ entries it dropped whole (GAS only); ``seconds``; and
 ``reuse_classes``, the FR / PR / NR counts when the tree is tracked.
 
 Candidate evaluation is the hot loop and is *embarrassingly parallel
-across candidates*, so it fans out over Spark: candidate edge ids are a
-DataFrame, the (small) graph + decomposition state ride in the task
-closure, and ``mapInPandas`` runs the local kernel per batch, returning
-one row per (candidate, level). Below ``spark_threshold`` candidates
-the driver evaluates directly — task overhead would dominate.
+across candidates*, so from ``spark_threshold`` candidates on it fans
+out over Spark (:func:`repro.fanout.fan_out`) with the (small) graph and
+decomposition state in the task closure. Below that the driver
+evaluates directly — task overhead would dominate.
 """
 from __future__ import annotations
 
+import functools
 import numbers
 import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.core.followers import FollowerResult, Level, get_followers, root_verdict
+from repro.core.followers import FollowerResult, get_followers, root_verdict
 from repro.core.tree import build_tree, classify_reuse, expired_nodes, node_signature
-from repro.truss.local import LocalGraph, TrussState, decompose
+from repro.fanout import fan_out
+from repro.truss.local import LocalGraph, TrussState, decompose, trussness_gain
 
 
 @dataclass
@@ -93,18 +93,15 @@ class GreedyResult:
     total_gain: int
     seconds: float
 
-    @property
-    def anchor_edges(self) -> list[tuple[int, int]]:
-        """Anchors as vertex pairs (requires ``g`` used at run time)."""
-        return self._edges  # set by run_greedy
 
-    _edges: list[tuple[int, int]] = field(default_factory=list)
-
-
-def _complete(partial: dict[int, FollowerResult], fr: FollowerResult) -> FollowerResult:
-    """``fr`` with the levels ``partial`` kept for its candidate merged in."""
-    kept = partial.get(fr.x)
-    return replace(fr, levels={**kept.levels, **fr.levels}) if kept else fr
+def _complete(
+    g: LocalGraph, st: TrussState, partial: dict[int, FollowerResult], x: int
+) -> FollowerResult:
+    """Complete follower result of ``x``, computing only the levels that
+    ``partial`` does not hold for it."""
+    kept = partial[x].levels if x in partial else {}
+    fr = get_followers(g, st, x, kept)
+    return replace(fr, levels={**kept, **fr.levels}) if kept else fr
 
 
 def _eval_followers_local(
@@ -113,22 +110,8 @@ def _eval_followers_local(
     partial: dict[int, FollowerResult],
     cand: list[int],
 ) -> dict[int, FollowerResult]:
-    """Complete follower results of ``cand``, computing only the levels
-    that ``partial`` does not hold."""
-    return {
-        e: _complete(
-            partial, get_followers(g, st, e, partial[e].levels if e in partial else ())
-        )
-        for e in cand
-    }
-
-
-def _join(ids) -> str:
-    return ",".join(map(str, sorted(ids)))
-
-
-def _split(s: str) -> frozenset[int]:
-    return frozenset(int(v) for v in s.split(",")) if s else frozenset()
+    """Complete follower results of ``cand``, evaluated on the driver."""
+    return {e: _complete(g, st, partial, e) for e in cand}
 
 
 def _eval_followers_spark(
@@ -138,50 +121,9 @@ def _eval_followers_spark(
     partial: dict[int, FollowerResult],
     cand: list[int],
 ) -> dict[int, FollowerResult]:
-    """Fan the follower kernel out over Spark tasks.
-
-    Same contract as :func:`_eval_followers_local`. Each candidate
-    ships with the levels to skip and comes back as one row for its
-    root reads (level 0, never a trussness) plus one row per computed
-    level. Id sets are comma-joined strings — scalar columns keep the
-    Arrow exchange trivial and the result is tiny.
-    """
-    parts = max(1, min(spark.sparkContext.defaultParallelism * 2, len(cand) // 32 + 1))
-    skip = [_join(partial[e].levels) if e in partial else "" for e in cand]
-    ids = spark.createDataFrame(pd.DataFrame({"eid": cand, "skip": skip})).repartition(parts)
-
-    def kernel(batches):
-        for pdf in batches:
-            rows = []
-            for e, sk in zip(pdf["eid"], pdf["skip"]):
-                fr = get_followers(g, st, int(e), _split(sk))
-                rows.append((fr.x, 0, "", "", _join(fr.root_reads)))
-                for i, lv in fr.levels.items():
-                    rows.append(
-                        (fr.x, i, _join(lv.followers), _join(lv.candidates), _join(lv.reads))
-                    )
-            yield pd.DataFrame(
-                rows, columns=["eid", "level", "followers", "cands", "reads"]
-            )
-
-    res = ids.mapInPandas(
-        kernel,
-        schema="eid long, level long, followers string, cands string, reads string",
-    ).toPandas()
-    roots: dict[int, frozenset[int]] = {}
-    levels: dict[int, dict[int, Level]] = {e: {} for e in cand}
-    for row in res.itertuples(index=False):
-        e, i = int(row.eid), int(row.level)
-        if i == 0:
-            roots[e] = _split(row.reads)
-        else:
-            levels[e][i] = Level(
-                _split(row.followers), _split(row.cands), _split(row.reads)
-            )
-    return {
-        e: _complete(partial, FollowerResult(x=e, root_reads=roots[e], levels=levels[e]))
-        for e in cand
-    }
+    """:func:`_eval_followers_local` as one Spark fan-out."""
+    fresh = fan_out(spark, functools.partial(_complete, g, st, partial), cand)
+    return dict(zip(cand, fresh))
 
 
 def _invalidate(
@@ -228,40 +170,6 @@ def _invalidate(
     return invalidated, partial
 
 
-def _eval_gain_by_decomp_spark(
-    spark: SparkSession,
-    g: LocalGraph,
-    st: TrussState,
-    anchors: frozenset[int],
-    cand: list[int],
-) -> dict[int, int]:
-    """BASE candidate evaluation: full decomposition per candidate.
-
-    Each Spark task runs ``decompose(G_{A∪{e}})`` for its batch and
-    returns the candidate's trussness gain against ``st``.
-    """
-    parts = max(1, min(spark.sparkContext.defaultParallelism * 4, len(cand)))
-    ids = spark.createDataFrame(pd.DataFrame({"eid": cand})).repartition(parts)
-    base_t = st.t
-
-    def kernel(batches):
-        for pdf in batches:
-            rows = []
-            for e in pdf["eid"]:
-                e = int(e)
-                after = decompose(g, anchors | {e})
-                gain = 0
-                for i in range(g.m):
-                    if i == e or i in anchors:
-                        continue
-                    gain += int(after.t[i]) - int(base_t[i])
-                rows.append((e, gain))
-            yield pd.DataFrame(rows, columns=["eid", "gain"])
-
-    res = ids.mapInPandas(kernel, schema="eid long, gain long").toPandas()
-    return {int(r.eid): int(r.gain) for r in res.itertuples(index=False)}
-
-
 def _pick_best(gains: dict[int, int]) -> tuple[int, int]:
     """Argmax gain, smallest edge id on ties — shared by all methods."""
     best = min(gains, key=lambda e: (-gains[e], e))
@@ -290,8 +198,7 @@ def run_greedy(
         raise ValueError(f"budget b must be a non-negative integer, got {b!r}")
     t_start = time.perf_counter()
     anchors: set[int] = set()
-    st = decompose(g, frozenset())
-    st0_t = st.t.copy()
+    st = st0 = decompose(g, frozenset())
     cache: dict[int, FollowerResult] = {}  # complete results, reusable as they are
     partial: dict[int, FollowerResult] = {}  # results missing the levels last dropped
     rounds: list[RoundStats] = []
@@ -305,14 +212,8 @@ def run_greedy(
             break
         levels_recomputed = 0
         if method == "base":
-            gains = (
-                _eval_gain_by_decomp_spark(spark, g, st, frozenset(anchors), cand)
-                if len(cand) >= spark_threshold
-                else {
-                    e: len(get_followers_by_decomp(g, st, frozenset(anchors), e))
-                    for e in cand
-                }
-            )
+            gain_of = functools.partial(trussness_gain, g, st)
+            gains = dict(zip(cand, fan_out(spark, gain_of, [{e} for e in cand], spark_threshold)))
             evaluated, reused = len(cand), 0
         else:
             if method == "gas":
@@ -366,33 +267,10 @@ def run_greedy(
             )
         )
 
-    total_gain = int(
-        sum(
-            int(st.t[e]) - int(st0_t[e])
-            for e in range(g.m)
-            if e not in anchors
-        )
-    )
-    res = GreedyResult(
+    return GreedyResult(
         method=method,
         anchors=[r.best for r in rounds],
         rounds=rounds,
-        total_gain=total_gain,
+        total_gain=st.gain_over(st0),
         seconds=time.perf_counter() - t_start,
-    )
-    res._edges = [g.edge(e) for e in res.anchors]
-    return res
-
-
-def get_followers_by_decomp(
-    g: LocalGraph, st: TrussState, anchors: frozenset[int], x: int
-) -> frozenset[int]:
-    """BASE's candidate evaluation: followers via full re-decomposition."""
-    after = decompose(g, anchors | {x})
-    return frozenset(
-        e
-        for e in range(g.m)
-        if e != x
-        and e not in anchors
-        and int(after.t[e]) > int(st.t[e])
     )

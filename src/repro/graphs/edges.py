@@ -21,14 +21,25 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 
+def _vertex_ids(col: pd.Series) -> np.ndarray:
+    """``col`` as int64 vertex ids; ValueError if any is not a finite integer."""
+    if pd.api.types.is_integer_dtype(col.dtype) and not col.hasnans:
+        return col.to_numpy(dtype=np.int64)
+    ids = col.to_numpy(dtype=np.float64, na_value=np.nan)
+    if not np.isfinite(ids).all() or (ids != np.trunc(ids)).any():
+        raise ValueError(f"column {col.name!r} holds a non-finite or non-integral vertex id")
+    return ids.astype(np.int64)
+
+
 def canonical_edges(pdf: pd.DataFrame) -> pd.DataFrame:
     """Return the canonical (sorted, deduped, src<dst) edge frame.
 
-    Accepts any frame with ``src``/``dst`` columns; self loops are
-    dropped and both orientations of the same edge collapse to one row.
+    Accepts any frame with ``src``/``dst`` columns of integer vertex ids
+    (integral floats are accepted); self loops are dropped and both
+    orientations of the same edge collapse to one row.
     """
-    src = pdf["src"].to_numpy(dtype=np.int64)
-    dst = pdf["dst"].to_numpy(dtype=np.int64)
+    src = _vertex_ids(pdf["src"])
+    dst = _vertex_ids(pdf["dst"])
     lo = np.minimum(src, dst)
     hi = np.maximum(src, dst)
     keep = lo != hi

@@ -1,2 +1,2 @@
-"""Truss substrate: local kernel + distributed (DataFrame) truss analytics."""
+"""Truss substrate: local kernel, naive oracle, distributed (DataFrame) triangles and support."""
 from repro.truss.local import INF_T, LocalGraph, TrussState, decompose  # noqa: F401

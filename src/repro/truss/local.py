@@ -1,18 +1,14 @@
 """Local (driver / executor-side) truss kernel.
 
 The ATR algorithms evaluate thousands of candidate anchors per greedy
-round. The bulk structure (triangle enumeration, decomposition of the
-whole graph) is also implemented distributedly in
-:mod:`repro.truss.decompose`; this module is the *fast per-task kernel*
-that those distributed stages fan out over: a plain-Python adjacency
-view plus a synchronous-peeling truss decomposition that supports
-anchored edges (``sup = +inf``) and reports the layer index ``l(e)``
-that the paper's upward-route machinery needs.
-
-The synchronous-batch semantics here (all edges with ``sup <= k-2``
-removed together form one *layer*) match the distributed peeling in
-``repro.truss.decompose`` exactly — cross-checked in tests — so both
-implementations agree on ``t(e)`` *and* ``l(e)``.
+round. This module is the *fast per-task kernel* that every Spark
+fan-out (:mod:`repro.fanout`) runs: a plain-Python adjacency view plus a
+synchronous-peeling truss decomposition that supports anchored edges
+(``sup = +inf``) and reports the layer index ``l(e)`` that the paper's
+upward-route machinery needs. All edges with ``sup <= k-2`` are removed
+together and form one *layer*. Tests check it against the naive oracle
+in :mod:`repro.truss.reference`, and ``atrbench/checks.py`` checks it
+against networkx ``k_truss`` on the full stand-in datasets.
 """
 from __future__ import annotations
 
@@ -124,6 +120,12 @@ class TrussState:
         """The paper's ``e_i < e_j``: earlier (or equal) deletion order."""
         return self.order(i) <= self.order(j)
 
+    def gain_over(self, base: TrussState) -> int:
+        """Trussness increase from ``base`` summed over the edges anchored
+        in neither state (Definition 4's sum over ``E \\ A``)."""
+        keep = (self.t < INF_T) & (base.t < INF_T)
+        return int((self.t[keep] - base.t[keep]).sum())
+
 
 def decompose(g: LocalGraph, anchors: frozenset[int] | set[int] = frozenset()) -> TrussState:
     """Truss decomposition with layers (Algorithm 1 + layer bookkeeping).
@@ -185,13 +187,4 @@ def trussness_gain(g: LocalGraph, base: TrussState, anchors: frozenset[int] | se
     contain anchors (for incremental gains inside the greedy loop);
     edges anchored in either state are excluded from the sum.
     """
-    anchors = frozenset(anchors) | base.anchors
-    after = decompose(g, anchors)
-    skip = anchors
-    return int(
-        sum(
-            int(after.t[e]) - int(base.t[e])
-            for e in range(g.m)
-            if e not in skip
-        )
-    )
+    return decompose(g, frozenset(anchors) | base.anchors).gain_over(base)

@@ -2,10 +2,9 @@
 
 Deliberately written from the *definitions* (Definition 2/3) rather
 than the peeling kernel, so that :func:`repro.truss.local.decompose`
-and the distributed decomposition are checked against an independent
-code path: ``k``-trusses are computed by fixpoint filtering for each
-``k`` separately, and trussness is the largest ``k`` whose truss
-contains the edge.
+is checked against an independent code path: ``k``-trusses are
+computed by fixpoint filtering for each ``k`` separately, and
+trussness is the largest ``k`` whose truss contains the edge.
 """
 from __future__ import annotations
 

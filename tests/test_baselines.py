@@ -9,14 +9,10 @@ from repro.baselines.akt import (
     anchored_ktruss_counts,
     anchored_ktruss_gain,
 )
-from repro.baselines.random_sets import (
-    evaluate_anchor_set,
-    random_baseline,
-    top_frac_pool,
-)
+from repro.baselines.random_sets import random_baseline, top_frac_pool
 from repro.core.greedy import run_greedy
 from repro.graphs.gen import community_graph
-from repro.truss.local import LocalGraph, decompose
+from repro.truss.local import LocalGraph, decompose, trussness_gain
 from repro.truss.reference import ktruss_edge_set
 
 
@@ -45,7 +41,7 @@ def test_random_baseline_deterministic(graph):
 def test_random_baseline_gain_consistent(graph):
     g, st = graph
     gain, ids = random_baseline(None, g, st, 3, np.arange(g.m), trials=15, seed=1)
-    assert gain == evaluate_anchor_set(g, st, frozenset(ids))
+    assert gain == trussness_gain(g, st, frozenset(ids))
     assert len(ids) == 3
 
 

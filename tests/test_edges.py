@@ -30,6 +30,23 @@ def test_canonical_sorted_and_stable():
     pd.testing.assert_frame_equal(pdf, again)
 
 
+@pytest.mark.parametrize("col", ["src", "dst"])
+@pytest.mark.parametrize("bad", [1.5, float("nan"), float("inf")])
+def test_canonical_rejects_non_integer_ids(col, bad):
+    """A fractional id would be truncated onto another vertex and NaN
+    would become a huge negative id; both must raise instead."""
+    pdf = pd.DataFrame({"src": [0.0, 1.0], "dst": [1.0, 2.0]})
+    pdf.loc[1, col] = bad
+    with pytest.raises(ValueError, match=f"column '{col}'"):
+        canonical_edges(pdf)
+
+
+def test_canonical_accepts_integral_floats():
+    pdf = canonical_edges(pd.DataFrame({"src": [1.0, 0.0], "dst": [2.0, 1.0]}))
+    assert pdf.to_dict("list") == {"src": [0, 1], "dst": [1, 2]}
+    assert pdf["src"].dtype == "int64"
+
+
 def test_edge_ids_deterministic():
     pdf = pd.DataFrame({"src": [3, 1, 2], "dst": [1, 2, 3]})
     g1 = LocalGraph(pdf)

@@ -2,11 +2,10 @@
 import pytest
 
 from repro.baselines.exact import exact_best
-from repro.baselines.random_sets import evaluate_anchor_set
 from repro.core.greedy import run_greedy
 from repro.graphs.gen import community_graph
 from repro.graphs.toys import truss_ladder
-from repro.truss.local import LocalGraph, decompose
+from repro.truss.local import LocalGraph, decompose, trussness_gain
 
 
 def _small():
@@ -27,10 +26,10 @@ def test_exact_b1_matches_best_single_gain(label, pdf):
     st = decompose(g)
     gain, ids = exact_best(None, g, st, 1)
     best = max(
-        evaluate_anchor_set(g, st, frozenset({x})) for x in range(g.m)
+        trussness_gain(g, st, frozenset({x})) for x in range(g.m)
     )
     assert gain == best
-    assert evaluate_anchor_set(g, st, frozenset(ids)) == gain
+    assert trussness_gain(g, st, frozenset(ids)) == gain
 
 
 @pytest.mark.parametrize("label,pdf", CASES, ids=[c[0] for c in CASES])

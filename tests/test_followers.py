@@ -9,7 +9,7 @@ import pytest
 from repro.core.followers import get_followers, upward_candidates
 from repro.graphs.gen import community_graph, random_graph
 from repro.graphs.toys import truss_ladder, two_triangles
-from repro.truss.local import INF_T, LocalGraph, decompose
+from repro.truss.local import INF_T, LocalGraph, decompose, trussness_gain
 from repro.truss.reference import followers_naive
 
 
@@ -60,12 +60,20 @@ def test_lemma2_candidates_contain_followers(label, pdf, anchors):
         assert fr.followers <= fr.candidates
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_gain_equals_follower_count(seed):
-    """TG({x}) = |F(x)| (Lemma 1 corollary)."""
-    from repro.truss.local import trussness_gain
-
-    g = LocalGraph(random_graph(n=24, m=60, seed=seed))
+@pytest.mark.parametrize(
+    "pdf",
+    [pytest.param(random_graph(n=24, m=60, seed=s), id=str(s)) for s in range(4)]
+    + [
+        pytest.param(
+            community_graph(n=35, n_cliques=12, n_noise=10, drop_frac=0.12, seed=5),
+            id="comm",
+        )
+    ],
+)
+def test_gain_equals_follower_count(pdf):
+    """TG({x}) = |F(x)| (Lemma 1 corollary): BASE's re-decomposition gain
+    equals the follower kernel's count."""
+    g = LocalGraph(pdf)
     st = decompose(g)
     for x in range(0, g.m, 3):
         fr = get_followers(g, st, x)
