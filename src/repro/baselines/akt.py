@@ -26,6 +26,7 @@ from collections import deque
 
 from pyspark.sql import SparkSession
 
+from repro.core.greedy import check_budget
 from repro.fanout import fan_out
 from repro.truss.local import LocalGraph, TrussState
 
@@ -45,7 +46,8 @@ def anchored_ktruss_counts(
     * ``measured_gain`` — retained ``(k-1)``-trussness edges that are
       *not* protected (the ATR paper's trussness-gain measurement).
     """
-    live = {e for e in range(g.m) if int(st.t[e]) >= k - 1}
+    t = st.lists[0]
+    live = {e for e in range(g.m) if t[e] >= k - 1}
 
     def protected(e: int) -> bool:
         u, v = g.edge(e)
@@ -56,9 +58,7 @@ def anchored_ktruss_counts(
     # but O(m * deg) instead of quadratic.
     sup: dict[int, int] = {}
     for e in live:
-        sup[e] = sum(
-            1 for _w, e1, e2 in g.triangles_of(e) if e1 in live and e2 in live
-        )
+        sup[e] = sum(1 for e1, e2 in g.triangles_of(e) if e1 in live and e2 in live)
     queue = deque(e for e in live if sup[e] < k - 2 and not protected(e))
     queued = set(queue)
     while queue:
@@ -67,14 +67,14 @@ def anchored_ktruss_counts(
         if e not in live or sup[e] >= k - 2 or protected(e):
             continue
         live.discard(e)
-        for _w, e1, e2 in g.triangles_of(e):
+        for e1, e2 in g.triangles_of(e):
             if e1 in live and e2 in live:
                 for p in (e1, e2):
                     sup[p] -= 1
                     if sup[p] < k - 2 and not protected(p) and p not in queued:
                         queue.append(p)
                         queued.add(p)
-    frontier = [e for e in live if int(st.t[e]) == k - 1]
+    frontier = [e for e in live if t[e] == k - 1]
     objective = len(frontier)
     measured = sum(1 for e in frontier if not protected(e))
     return objective, measured
@@ -107,7 +107,9 @@ def akt_greedy(
     frontier-degree pruning; vertices touching few frontier edges
     cannot retain many of them.
     """
-    frontier = {e for e in range(g.m) if int(st.t[e]) == k - 1}
+    b = check_budget(b, g.n)
+    t = st.lists[0]
+    frontier = {e for e in range(g.m) if t[e] == k - 1}
     incid: dict[int, int] = {}
     for e in frontier:
         for v in g.edge(e):

@@ -11,6 +11,7 @@ from itertools import combinations
 
 from pyspark.sql import SparkSession
 
+from repro.core.greedy import check_budget
 from repro.fanout import fan_out
 from repro.truss.local import LocalGraph, TrussState, trussness_gain
 
@@ -25,9 +26,9 @@ def exact_best(
     """Optimal ``b``-edge anchor set by brute force.
 
     Returns ``(gain, anchor_ids)`` with deterministic lexicographic
-    tie-breaking.
+    tie-breaking; ``b`` is clamped to ``g.m``.
     """
-    combos = list(combinations(range(g.m), b))
+    combos = list(combinations(range(g.m), check_budget(b, g.m)))
     gains = fan_out(
         spark, functools.partial(trussness_gain, g, st), map(frozenset, combos), spark_threshold
     )

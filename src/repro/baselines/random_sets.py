@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 from pyspark.sql import SparkSession
 
+from repro.core.greedy import check_budget
 from repro.fanout import fan_out
 from repro.truss.local import LocalGraph, TrussState, trussness_gain
 
@@ -46,7 +47,9 @@ def random_baseline(
     serial paths draw identical sets, and ties go to the smallest trial
     index, whatever order Spark returns the trials in.
     """
-    b_eff = min(b, len(pool))
+    b_eff = check_budget(b, len(pool))
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials!r}")
 
     def run_trial(i: int) -> tuple[int, list[int]]:
         rng = np.random.default_rng(seed * 1_000_000 + i)

@@ -104,13 +104,14 @@ def _roots(
 ) -> tuple[dict[int, list[int]], frozenset[int]]:
     """Neighbour-edges of ``x`` that root a level, by level, and the
     root read-set (``x`` and all its triangle partners)."""
-    tx, lx = int(st.t[x]), int(st.layer[x])
+    t, layer = st.lists
+    tx, lx = t[x], layer[x]
     roots: dict[int, list[int]] = {}
     reads = {x}
-    for _w, e1, e2 in g.triangles_of(x):
-        for e in (e1, e2):
+    for pair in g.triangles_of(x):
+        for e in pair:
             reads.add(e)
-            i = root_verdict(int(st.t[e]), int(st.layer[e]), tx, lx)
+            i = root_verdict(t[e], layer[e], tx, lx)
             if 0 < i < INF_T:
                 roots.setdefault(i, []).append(e)
     return roots, frozenset(reads)
@@ -126,18 +127,23 @@ def _route_level(
 ) -> set[int]:
     """Level-``i`` upward-route candidates: BFS from the level's roots,
     expanding from edge ``e`` to any neighbour-edge ``e'`` with
-    ``t(e') = i`` and ``e < e'`` in deletion order (Definition 7)."""
+    ``t(e') = i`` and ``e < e'`` in deletion order (Definition 7).
+
+    Every edge of the level has ``t = i``, so the deletion order
+    between two of them is their layer order.
+    """
+    t, layer = st.lists
     level: set[int] = set(roots)
     queue = deque(roots)
     while queue:
         e = queue.popleft()
-        oe = st.order(e)
-        for _w, e1, e2 in g.triangles_of(e):
-            for p in (e1, e2):
+        le = layer[e]
+        for pair in g.triangles_of(e):
+            for p in pair:
                 if p in level:
                     continue
                 reads.add(p)
-                if int(st.t[p]) == i and p != x and oe <= st.order(p):
+                if t[p] == i and p != x and le <= layer[p]:
                     level.add(p)
                     queue.append(p)
     return level
@@ -173,20 +179,19 @@ def _peel_level(
     to the greatest fixpoint reproduces Algorithm 3's
     survived/eliminated/Retract outcome exactly.
     """
+    t = st.lists[0]
     survivors = set(cand)
 
     def eff(e: int) -> int:
         s = 0
-        for _w, e1, e2 in g.triangles_of(e):
-            ok = True
-            for p in (e1, e2):
+        for pair in g.triangles_of(e):
+            for p in pair:
                 reads.add(p)
-                tp = int(st.t[p])
-                if p == x or tp >= INF_T or tp > i or (tp == i and p in survivors):
+                tp = t[p]
+                if p == x or tp > i or (tp == i and p in survivors):
                     continue
-                ok = False
                 break
-            if ok:
+            else:
                 s += 1
         return s
 
@@ -199,8 +204,8 @@ def _peel_level(
             continue
         if eff(e) < i - 1:
             survivors.discard(e)
-            for _w, e1, e2 in g.triangles_of(e):
-                for p in (e1, e2):
+            for pair in g.triangles_of(e):
+                for p in pair:
                     if p in survivors and p not in queued:
                         queue.append(p)
                         queued.add(p)

@@ -140,15 +140,14 @@ def _invalidate(
     dropped whole, and the entries dropped in part, each holding the
     levels it keeps.
     """
+    (t0, l0), (t, layer) = prev.lists, st.lists
     whole = set(changed.tolist())
     for p in changed.tolist():
-        old = int(prev.t[p]), int(prev.layer[p])
-        new = int(st.t[p]), int(st.layer[p])
-        for _w, e1, e2 in g.triangles_of(p):
-            for x in (e1, e2):
+        for pair in g.triangles_of(p):
+            for x in pair:
                 if x in cache and x not in whole:
-                    tx, lx = int(st.t[x]), int(st.layer[x])
-                    if root_verdict(*old, tx, lx) != root_verdict(*new, tx, lx):
+                    tx, lx = t[x], layer[x]
+                    if root_verdict(t0[p], l0[p], tx, lx) != root_verdict(t[p], layer[p], tx, lx):
                         whole.add(x)
     invalidated = sum(cache.pop(x, None) is not None for x in whole)
 
@@ -168,6 +167,15 @@ def _invalidate(
     for x in partial:
         del cache[x]
     return invalidated, partial
+
+
+def check_budget(b: int, cap: int) -> int:
+    """The budget ``b`` clamped to ``cap`` (no more anchors than there
+    are items to anchor); ``ValueError`` unless ``b`` is a non-negative
+    integer."""
+    if isinstance(b, bool) or not isinstance(b, numbers.Integral) or b < 0:
+        raise ValueError(f"budget b must be a non-negative integer, got {b!r}")
+    return min(int(b), cap)
 
 
 def _pick_best(gains: dict[int, int]) -> tuple[int, int]:
@@ -194,8 +202,7 @@ def run_greedy(
     """
     if method not in {"base", "base+", "gas"}:
         raise ValueError(f"unknown method {method!r}")
-    if isinstance(b, bool) or not isinstance(b, numbers.Integral) or b < 0:
-        raise ValueError(f"budget b must be a non-negative integer, got {b!r}")
+    b = check_budget(b, g.m)
     t_start = time.perf_counter()
     anchors: set[int] = set()
     st = st0 = decompose(g, frozenset())
@@ -205,7 +212,7 @@ def run_greedy(
     tree = build_tree(g, st) if track_tree else None
     sig = node_signature(tree, st) if track_tree else None
 
-    for _ in range(min(b, g.m)):
+    for _ in range(b):
         r_start = time.perf_counter()
         cand = [e for e in range(g.m) if e not in anchors]
         if not cand:

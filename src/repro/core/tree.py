@@ -80,7 +80,7 @@ def _components(g: LocalGraph, edges: set[int]) -> list[set[int]]:
             parent[ra] = rb
 
     for e in edges:
-        for _w, e1, e2 in g.triangles_of(e):
+        for e1, e2 in g.triangles_of(e):
             if e1 in edges and e2 in edges:
                 unite(e, e1)
                 unite(e, e2)
@@ -97,6 +97,7 @@ def build_tree(g: LocalGraph, st: TrussState) -> TrussTree:
     are placed by their ``INF_T`` trussness in the deepest node of
     their component.
     """
+    t = st.lists[0]
     node_of: dict[int, TreeNode] = {}
     roots: list[TreeNode] = []
     all_edges = set(range(g.m))
@@ -108,9 +109,9 @@ def build_tree(g: LocalGraph, st: TrussState) -> TrussTree:
         if not edges:
             continue
         for comp in _components(g, edges):
-            kmin = min(int(st.t[e]) for e in comp)
+            kmin = min(t[e] for e in comp)
             tn = TreeNode(K=kmin, P=parent)
-            members = {e for e in comp if int(st.t[e]) == kmin}
+            members = {e for e in comp if t[e] == kmin}
             tn.E = members
             tn.I = min(members)
             for e in members:
@@ -131,11 +132,11 @@ def sla(g: LocalGraph, st: TrussState, tree: TrussTree, e: int) -> set[int]:
     ``id ∈ sla(e)`` iff some neighbour-edge ``e'`` of ``e`` has
     ``t(e') >= t(e)`` and lives in the node with ``TN.I = id``.
     """
-    te = int(st.t[e])
+    t = st.lists[0]
     out: set[int] = set()
-    for _w, e1, e2 in g.triangles_of(e):
-        for p in (e1, e2):
-            if int(st.t[p]) >= te:
+    for pair in g.triangles_of(e):
+        for p in pair:
+            if t[p] >= t[e]:
                 out.add(tree.node_id(p))
     return out
 
@@ -147,11 +148,10 @@ def node_signature(tree: TrussTree, st: TrussState) -> dict[int, frozenset[tuple
     same member edges with the same decomposition order. Used to decide
     which nodes *expired* after an anchoring.
     """
+    t, layer = st.lists
     out: dict[int, frozenset[tuple[int, int, int]]] = {}
     for tn in tree.nodes():
-        out[tn.I] = frozenset(
-            (e, int(st.t[e]), int(st.layer[e])) for e in tn.E
-        )
+        out[tn.I] = frozenset((e, t[e], layer[e]) for e in tn.E)
     return out
 
 
@@ -180,9 +180,10 @@ def classify_reuse(
     ``PR`` (partially reusable): some but not all expired.
     ``NR`` (non-reusable): all expired.
     """
+    t = st.lists[0]
     out: dict[int, str] = {}
     for e in range(g.m):
-        if int(st.t[e]) >= INF_T:
+        if t[e] >= INF_T:
             continue
         ids = sla(g, st, tree, e) | {tree.node_id(e)}
         hit = len(ids & es)

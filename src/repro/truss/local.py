@@ -1,17 +1,21 @@
 """Local (driver / executor-side) truss kernel.
 
 The ATR algorithms evaluate thousands of candidate anchors per greedy
-round. This module is the *fast per-task kernel* that every Spark
-fan-out (:mod:`repro.fanout`) runs: a plain-Python adjacency view plus a
-synchronous-peeling truss decomposition that supports anchored edges
-(``sup = +inf``) and reports the layer index ``l(e)`` that the paper's
-upward-route machinery needs. All edges with ``sup <= k-2`` are removed
-together and form one *layer*. Tests check it against the naive oracle
-in :mod:`repro.truss.reference`, and ``atrbench/checks.py`` checks it
+round, and every evaluation is triangle lookups over one fixed graph.
+This module is the *fast per-task kernel* that every Spark fan-out
+(:mod:`repro.fanout`) runs. :class:`LocalGraph` lists the triangles
+once, as an edge-id array, and keeps each edge's triangle partners for
+the per-edge walks of the follower kernel. :func:`decompose` is a numpy
+synchronous peel over that array: anchored edges are never removed
+(``sup = +inf``), and all edges with ``sup <= k-2`` are removed
+together and form one *layer* ``l(e)``, which the paper's upward-route
+machinery needs. Tests check it against the naive oracles in
+:mod:`repro.truss.reference`, and ``atrbench/checks.py`` checks it
 against networkx ``k_truss`` on the full stand-in datasets.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,11 +26,13 @@ INF_T = 1 << 30
 
 
 class LocalGraph:
-    """Adjacency view of a canonical edge list with stable edge ids.
+    """Canonical edge list with stable edge ids and a triangle index.
 
     Edge id ``i`` is the row index of the edge in the canonical
     (``src<dst``, sorted, deduped) frame — deterministic for a given
     edge set, which makes greedy tie-breaks and tree-node ids stable.
+    ``tri`` holds the three edge ids of every triangle, ascending per
+    row, rows sorted; each triangle appears once.
     """
 
     def __init__(self, edges_pdf: pd.DataFrame):
@@ -35,19 +41,28 @@ class LocalGraph:
         pdf = canonical_edges(edges_pdf)
         self.edges: np.ndarray = pdf.to_numpy(dtype=np.int64)  # (m, 2)
         self.m: int = len(self.edges)
-        self.eid: dict[tuple[int, int], int] = {
-            (int(u), int(v)): i for i, (u, v) in enumerate(self.edges)
-        }
-        self.adj: dict[int, dict[int, int]] = {}
-        for i, (u, v) in enumerate(self.edges):
-            self.adj.setdefault(int(u), {})[int(v)] = i
-            self.adj.setdefault(int(v), {})[int(u)] = i
-        self.n: int = len(self.adj)
+        # Vertices relabelled 0..n-1 in id order, so that packed pair
+        # keys ``u*n + v`` fit in int64 whatever the ids are. The keys
+        # come out sorted because the canonical rows are.
+        self.ids, local = np.unique(self.edges.ravel(), return_inverse=True)
+        self.n: int = len(self.ids)
+        local = local.reshape(-1, 2)
+        self._keys = local[:, 0] * self.n + local[:, 1]
+        self.tri: np.ndarray = _triangles(local, self.n)
+        self._partners = _partner_lists(self.tri, self.m)
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "_partners"}
+
+    def __setstate__(self, state: dict) -> None:
+        # Tasks receive the compact arrays and rebuild the partner lists.
+        self.__dict__.update(state)
+        self._partners = _partner_lists(self.tri, self.m)
 
     # -- basic queries -------------------------------------------------
     def vertices(self) -> list[int]:
-        """All vertex ids that appear in at least one edge."""
-        return list(self.adj)
+        """All vertex ids that appear in at least one edge, ascending."""
+        return self.ids.tolist()
 
     def edge(self, i: int) -> tuple[int, int]:
         """The (src, dst) pair of edge id ``i``."""
@@ -55,41 +70,72 @@ class LocalGraph:
         return int(u), int(v)
 
     def edge_id(self, u: int, v: int) -> int:
-        """Edge id for an (unordered) vertex pair."""
-        return self.eid[(u, v) if u < v else (v, u)]
-
-    def common_neighbors(self, u: int, v: int) -> list[int]:
-        """Vertices adjacent to both ``u`` and ``v`` (triangle apexes)."""
-        a, b = self.adj.get(u, {}), self.adj.get(v, {})
-        if len(a) > len(b):
-            a, b = b, a
-        return [w for w in a if w in b]
+        """Edge id for an (unordered) vertex pair; ``KeyError`` if absent."""
+        a, b = (u, v) if u < v else (v, u)
+        lu, lv = np.searchsorted(self.ids, (a, b))
+        if lv < self.n and self.ids[lu] == a and self.ids[lv] == b:
+            key = lu * self.n + lv
+            i = int(np.searchsorted(self._keys, key))
+            if i < self.m and self._keys[i] == key:
+                return i
+        raise KeyError((u, v))
 
     def triangles_of(self, i: int):
-        """Yield ``(w, e1, e2)`` for each triangle containing edge ``i``.
-
-        ``e1 = (u, w)`` and ``e2 = (v, w)`` are the partner edge ids.
-        """
-        u, v = self.edge(i)
-        au, av = self.adj[u], self.adj[v]
-        if len(au) > len(av):
-            u, v = v, u
-            au, av = av, au
-        for w, e1 in au.items():
-            e2 = av.get(w)
-            if e2 is not None:
-                yield w, e1, e2
+        """The ``(e1, e2)`` partner edge ids of each triangle of edge ``i``."""
+        it = iter(self._partners[i])
+        return zip(it, it)
 
     def support(self) -> np.ndarray:
         """Initial support ``sup(e, G)`` for every edge, as an array."""
-        sup = np.zeros(self.m, dtype=np.int64)
-        for i in range(self.m):
-            sup[i] = len(self.common_neighbors(*self.edge(i)))
-        return sup
+        return np.bincount(self.tri.ravel(), minlength=self.m)
 
     def to_pandas(self) -> pd.DataFrame:
         """The canonical edge frame (columns ``src``, ``dst``)."""
         return pd.DataFrame({"src": self.edges[:, 0], "dst": self.edges[:, 1]})
+
+
+def _triangles(local: np.ndarray, n: int) -> np.ndarray:
+    """Every triangle of the relabelled edges ``local`` as a row of edge ids.
+
+    Each edge points from its endpoint of lower ``(degree, id)`` rank to
+    the higher one, so a vertex has at most ``O(sqrt(m))`` out-edges and
+    each triangle ``a -> b -> c`` closes exactly one wedge: the edge
+    ``a -> b`` followed by any out-edge ``b -> c``, closed iff ``a -> c``
+    is an edge (a ``searchsorted`` on the sorted ``src*n + dst`` keys).
+    """
+    m = len(local)
+    deg = np.bincount(local.ravel(), minlength=n)
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.lexsort((np.arange(n), deg))] = np.arange(n)
+    ru, rv = rank[local[:, 0]], rank[local[:, 1]]
+    src, dst = np.minimum(ru, rv), np.maximum(ru, rv)
+    order = np.argsort(src * n + dst)  # oriented edges by key
+    src, dst = src[order], dst[order]
+    keys = src * n + dst
+    start = np.searchsorted(src, np.arange(n + 1))  # out-edges of r: start[r]:start[r+1]
+    width = np.diff(start)[dst]  # wedges opened by each edge
+    first = np.repeat(np.arange(m), width)
+    second = np.arange(len(first)) - np.repeat(np.cumsum(width) - width, width)
+    second += start[dst[first]]
+    close = src[first] * n + dst[second]
+    at = np.minimum(np.searchsorted(keys, close), max(m - 1, 0))
+    hit = keys[at] == close
+    tri = np.stack([order[first[hit]], order[second[hit]], order[at[hit]]], axis=1)
+    tri.sort(axis=1)
+    return tri[np.lexsort(tri.T[::-1])].astype(np.int32)
+
+
+def _partner_lists(tri: np.ndarray, m: int) -> list[list[int]]:
+    """Per edge, the flat list ``[e1, e2, e1', e2', ...]`` of the partner
+    edges of its triangles. The lists share one int object per edge id,
+    which keeps the index a few pointers per triangle."""
+    a, b, c = tri.T
+    own = np.concatenate([a, b, c])
+    pairs = np.stack([np.concatenate([b, a, a]), np.concatenate([c, c, b])], axis=1)
+    flat = pairs[np.argsort(own, kind="stable")].ravel().tolist()
+    flat = list(map(list(range(m)).__getitem__, flat))
+    ends = (2 * np.cumsum(np.bincount(own, minlength=m))).tolist()
+    return [flat[lo:hi] for lo, hi in zip([0, *ends], ends)]
 
 
 @dataclass
@@ -98,8 +144,8 @@ class TrussState:
 
     ``t[i]`` is the trussness of edge ``i`` (``INF_T`` for anchors) and
     ``layer[i]`` the 1-based synchronous-peeling round within its
-    k-hull (0 for anchors). ``order(i) <= order(j)`` encodes the
-    paper's ``e_i < e_j`` deletion-order relation.
+    k-hull (0 for anchors). ``(t, layer)`` in lexicographic order is
+    the paper's deletion order ``e_i < e_j``.
     """
 
     t: np.ndarray
@@ -112,13 +158,16 @@ class TrussState:
         finite = self.t[self.t < INF_T]
         return int(finite.max()) if len(finite) else 2
 
-    def order(self, i: int) -> tuple[int, int]:
-        """Sort key realising the paper's deletion order ``e_i < e_j``."""
-        return (int(self.t[i]), int(self.layer[i]))
+    @functools.cached_property
+    def lists(self) -> tuple[list[int], list[int]]:
+        """``(t, layer)`` as Python lists, for the kernels' per-edge reads.
 
-    def le(self, i: int, j: int) -> bool:
-        """The paper's ``e_i < e_j``: earlier (or equal) deletion order."""
-        return self.order(i) <= self.order(j)
+        Built once per state and never pickled: a task rebuilds it.
+        """
+        return self.t.tolist(), self.layer.tolist()
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "lists"}
 
     def gain_over(self, base: TrussState) -> int:
         """Trussness increase from ``base`` summed over the edges anchored
@@ -133,49 +182,39 @@ def decompose(g: LocalGraph, anchors: frozenset[int] | set[int] = frozenset()) -
     Anchored edges are never removed (``sup = +inf`` abstraction); all
     other edges receive ``t(e) = k`` for the ``k`` at which they are
     peeled, and ``l(e)`` = the synchronous round index within that
-    k-hull in which they fall. Deterministic for a given (graph,
-    anchors) pair.
+    k-hull in which they fall. Each round removes every peelable edge
+    with ``sup <= k-2`` at once; each live triangle with a removed edge
+    dies once and takes one support from each of its edges. Deterministic
+    for a given (graph, anchors) pair.
     """
     anchors = frozenset(anchors)
     m = g.m
+    peelable = np.ones(m, dtype=bool)  # alive and not anchored
+    peelable[list(anchors)] = False
     sup = g.support()
-    alive = np.ones(m, dtype=bool)
-    anchored = np.zeros(m, dtype=bool)
-    for e in anchors:
-        anchored[e] = True
+    live = [np.ascontiguousarray(col) for col in g.tri.T]  # triangles of alive edges
     t = np.full(m, 2, dtype=np.int64)
     layer = np.zeros(m, dtype=np.int64)
     remaining = m - len(anchors)
     k = 2
     while remaining > 0:
-        # At the start of each k, every alive non-anchor edge is a
-        # removal candidate; afterwards only edges whose support was
-        # decremented in the previous round can newly qualify.
-        check = [e for e in range(m) if alive[e] and not anchored[e]]
         rnd = 0
         while True:
-            batch = [e for e in check if alive[e] and sup[e] <= k - 2]
-            if not batch:
+            batch = peelable & (sup <= k - 2)
+            removed = np.flatnonzero(batch)
+            if not len(removed):
                 break
             rnd += 1
-            for e in batch:
-                t[e] = k
-                layer[e] = rnd
-            touched: set[int] = set()
-            for e in batch:
-                alive[e] = False
-                for _w, e1, e2 in g.triangles_of(e):
-                    if alive[e1] and alive[e2]:
-                        sup[e1] -= 1
-                        sup[e2] -= 1
-                        touched.add(e1)
-                        touched.add(e2)
-                remaining -= 1
-            check = [e for e in touched if alive[e] and not anchored[e]]
+            t[removed] = k
+            layer[removed] = rnd
+            peelable[removed] = False
+            remaining -= len(removed)
+            dead = batch[live[0]] | batch[live[1]] | batch[live[2]]
+            if dead.any():
+                sup -= np.bincount(np.concatenate([col[dead] for col in live]), minlength=m)
+                live = [col[~dead] for col in live]
         k += 1
-    for e in anchors:
-        t[e] = INF_T
-        layer[e] = 0
+    t[list(anchors)] = INF_T
     return TrussState(t=t, layer=layer, anchors=anchors)
 
 

@@ -134,7 +134,7 @@ def test_akt_anchored_truss_supersets_plain(graph):
             u, v = g.edge(e)
             if u in verts or v in verts:
                 continue
-            s = sum(1 for _w, e1, e2 in g.triangles_of(e) if e1 in live and e2 in live)
+            s = sum(1 for e1, e2 in g.triangles_of(e) if e1 in live and e2 in live)
             if s < k - 2:
                 live.discard(e)
                 changed = True
@@ -167,3 +167,24 @@ def test_akt_spark_matches_serial(spark, graph):
     serial = akt_greedy(None, g, st, k=4, b=2)
     dist = akt_greedy(spark, g, st, k=4, b=2, spark_threshold=0)
     assert serial == dist
+
+
+@pytest.mark.parametrize("b", [-1, True, 2.5])
+def test_random_baseline_bad_budget_raises(graph, b):
+    g, st = graph
+    with pytest.raises(ValueError, match="budget b must be a non-negative integer"):
+        random_baseline(None, g, st, b, np.arange(g.m), trials=3)
+
+
+@pytest.mark.parametrize("trials", [0, -2])
+def test_random_baseline_needs_a_trial(graph, trials):
+    g, st = graph
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        random_baseline(None, g, st, 2, np.arange(g.m), trials=trials)
+
+
+@pytest.mark.parametrize("b", [-1, True, 2.5])
+def test_akt_bad_budget_raises(graph, b):
+    g, st = graph
+    with pytest.raises(ValueError, match="budget b must be a non-negative integer"):
+        akt_greedy(None, g, st, k=4, b=b)

@@ -1,11 +1,15 @@
 """Local truss-decomposition kernel vs the naive definition oracle."""
+import itertools
+
 import pandas as pd
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from repro.graphs.gen import clique, community_graph, random_graph, union
 from repro.graphs.toys import truss_ladder, two_triangles
 from repro.truss.local import INF_T, LocalGraph, decompose, trussness_gain
-from repro.truss.reference import ktruss_edge_set, trussness_naive
+from repro.truss.reference import ktruss_edge_set, layers_naive, trussness_naive
 
 
 def _cases():
@@ -122,3 +126,27 @@ def test_empty_and_tiny_graphs():
     g = LocalGraph(pd.DataFrame({"src": [0], "dst": [1]}))
     st = decompose(g)
     assert int(st.t[0]) == 2 and int(st.layer[0]) == 1
+
+
+@st.composite
+def graph_and_anchor_set(draw):
+    """A random graph on at most 11 vertices and a random anchor set."""
+    n = draw(st.integers(3, 11))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = [p for p, k in zip(pairs, keep) if k]
+    assume(edges)
+    g = LocalGraph(pd.DataFrame(edges, columns=["src", "dst"]))
+    anchors = draw(st.sets(st.integers(0, g.m - 1), max_size=min(4, g.m)))
+    return g, frozenset(anchors)
+
+
+@given(graph_and_anchor_set())
+def test_layers_match_naive(case):
+    """``decompose`` gives the definition's trussness *and* layers: GAS's
+    reuse rule reads ``l``, so both must be exact."""
+    g, anchors = case
+    t, layer = trussness_naive(g, anchors), layers_naive(g, anchors)
+    res = decompose(g, anchors)
+    assert res.t.tolist() == [t[e] for e in range(g.m)]
+    assert res.layer.tolist() == [layer[e] for e in range(g.m)]

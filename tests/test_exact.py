@@ -62,3 +62,16 @@ def test_exact_spark_matches_serial(spark):
     serial = exact_best(None, g, st, 2)
     dist = exact_best(spark, g, st, 2, spark_threshold=0)
     assert serial == dist
+
+
+def test_exact_budget_clamped_to_edge_count():
+    g = LocalGraph(truss_ladder())
+    st = decompose(g)
+    assert exact_best(None, g, st, g.m + 1) == exact_best(None, g, st, g.m)
+
+
+@pytest.mark.parametrize("b", [-1, True, 2.5])
+def test_exact_bad_budget_raises(b):
+    g = LocalGraph(truss_ladder())
+    with pytest.raises(ValueError, match="budget b must be a non-negative integer"):
+        exact_best(None, g, decompose(g), b)

@@ -85,7 +85,7 @@ def test_sla_definition(label, pdf):
     tree = build_tree(g, st)
     for e in range(g.m):
         want = set()
-        for _w, e1, e2 in g.triangles_of(e):
+        for e1, e2 in g.triangles_of(e):
             for p in (e1, e2):
                 if int(st.t[p]) >= int(st.t[e]):
                     want.add(tree.node_id(p))
