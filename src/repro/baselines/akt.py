@@ -22,13 +22,37 @@ edges (as in [2]); marginal gains fan out over Spark.
 """
 from __future__ import annotations
 
-from collections import deque
-
+import numpy as np
+import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.core.greedy import check_budget
 from repro.fanout import fan_out
-from repro.truss.local import LocalGraph, TrussState
+from repro.truss.local import LocalGraph, TrussState, decompose
+
+
+def _level_subgraph(g: LocalGraph, st: TrussState, k: int) -> tuple[LocalGraph, np.ndarray]:
+    """The subgraph of edges with ``t(e) >= k-1`` and, per edge of it,
+    whether ``t(e) == k-1``. Edges below can neither join nor support a
+    ``k``-truss, so the restriction is exact."""
+    keep = st.t >= k - 1
+    # The rows of g.edges are canonical, so sub's edge ids follow them in order.
+    sub = LocalGraph(pd.DataFrame(g.edges[keep], columns=["src", "dst"]))
+    return sub, st.t[keep] == k - 1
+
+
+def _counts(
+    sub: LocalGraph, frontier: np.ndarray, k: int, anchored_vertices: frozenset[int]
+) -> tuple[int, int]:
+    """:func:`anchored_ktruss_counts` on a prebuilt :func:`_level_subgraph`.
+
+    Protecting an edge is anchoring it, so the anchored ``k``-truss is
+    the set of edges whose anchored trussness is at least ``k``.
+    """
+    protected = np.isin(sub.edges, list(anchored_vertices)).any(axis=1)
+    st = decompose(sub, np.flatnonzero(protected).tolist())
+    kept = frontier & (st.t >= k)
+    return int(kept.sum()), int((kept & ~protected).sum())
 
 
 def anchored_ktruss_counts(
@@ -36,48 +60,16 @@ def anchored_ktruss_counts(
 ) -> tuple[int, int]:
     """``(objective, measured_gain)`` of a vertex-anchor set at level ``k``.
 
-    Runs the anchored ``k``-truss fixpoint on the subgraph of edges
-    with ``t(e) >= k-1`` (edges below can neither join nor support a
-    ``k``-truss, so the restriction is exact). Protected edges
-    (incident to an anchored vertex) are never peeled.
+    Computes the anchored ``k``-truss of the subgraph of edges with
+    ``t(e) >= k-1``; protected edges (incident to an anchored vertex)
+    are never peeled.
 
     * ``objective``  — all retained ``(k-1)``-trussness edges
       (AKT's own selection criterion, protection included);
     * ``measured_gain`` — retained ``(k-1)``-trussness edges that are
       *not* protected (the ATR paper's trussness-gain measurement).
     """
-    t = st.lists[0]
-    live = {e for e in range(g.m) if t[e] >= k - 1}
-
-    def protected(e: int) -> bool:
-        u, v = g.edge(e)
-        return u in anchored_vertices or v in anchored_vertices
-
-    # Queue-based peel: support within `live` computed once, then
-    # decremented as edges fall — same fixpoint as loop-until-stable
-    # but O(m * deg) instead of quadratic.
-    sup: dict[int, int] = {}
-    for e in live:
-        sup[e] = sum(1 for e1, e2 in g.triangles_of(e) if e1 in live and e2 in live)
-    queue = deque(e for e in live if sup[e] < k - 2 and not protected(e))
-    queued = set(queue)
-    while queue:
-        e = queue.popleft()
-        queued.discard(e)
-        if e not in live or sup[e] >= k - 2 or protected(e):
-            continue
-        live.discard(e)
-        for e1, e2 in g.triangles_of(e):
-            if e1 in live and e2 in live:
-                for p in (e1, e2):
-                    sup[p] -= 1
-                    if sup[p] < k - 2 and not protected(p) and p not in queued:
-                        queue.append(p)
-                        queued.add(p)
-    frontier = [e for e in live if t[e] == k - 1]
-    objective = len(frontier)
-    measured = sum(1 for e in frontier if not protected(e))
-    return objective, measured
+    return _counts(*_level_subgraph(g, st, k), k, anchored_vertices)
 
 
 def anchored_ktruss_gain(
@@ -108,15 +100,9 @@ def akt_greedy(
     cannot retain many of them.
     """
     b = check_budget(b, g.n)
-    t = st.lists[0]
-    frontier = {e for e in range(g.m) if t[e] == k - 1}
-    incid: dict[int, int] = {}
-    for e in frontier:
-        for v in g.edge(e):
-            incid[v] = incid.get(v, 0) + 1
-    cand_vertices = sorted(
-        incid, key=lambda v: (-incid[v], v)
-    )[: max(cand_cap, b)]
+    sub, frontier = _level_subgraph(g, st, k)
+    verts, incid = np.unique(sub.edges[frontier], return_counts=True)
+    cand_vertices = verts[np.lexsort((verts, -incid))][: max(cand_cap, b)].tolist()
     anchored: set[int] = set()
     for _ in range(b):
         cands = [v for v in cand_vertices if v not in anchored]
@@ -124,12 +110,12 @@ def akt_greedy(
             break
 
         def objective_of(v: int) -> int:
-            return anchored_ktruss_counts(g, st, k, frozenset(anchored | {v}))[0]
+            return _counts(sub, frontier, k, frozenset(anchored | {v}))[0]
 
         scored = dict(zip(cands, fan_out(spark, objective_of, cands, spark_threshold)))
         v_best = min(scored, key=lambda v: (-scored[v], v))
         anchored.add(v_best)
-    gain = anchored_ktruss_gain(g, st, k, frozenset(anchored))
+    gain = _counts(sub, frontier, k, frozenset(anchored))[1]
     return gain, sorted(anchored)
 
 
@@ -141,5 +127,5 @@ def akt_sweep(
     k_values: list[int] | None = None,
 ) -> dict[int, int]:
     """AKT measured gain for every ``k`` (default ``3..kmax+1``), Exp-9."""
-    ks = k_values or list(range(3, st.kmax + 2))
+    ks = list(range(3, st.kmax + 2)) if k_values is None else k_values
     return {k: akt_greedy(spark, g, st, k, b)[0] for k in ks}

@@ -12,7 +12,7 @@ substitution next to the paper's numbers.
 
 ``DATASETS`` maps name -> generator parameters; ``load`` materialises a
 :class:`~repro.truss.local.LocalGraph`. ``MICRO`` are miniature
-versions of the same shapes for unit tests and pytest benchmarks.
+versions of the same shapes for unit tests.
 """
 from __future__ import annotations
 
@@ -81,7 +81,7 @@ DATASETS: dict[str, dict] = {
     ),
 }
 
-#: Miniatures of the same shapes for tests and pytest-benchmark runs.
+#: Miniatures of the same shapes for tests.
 MICRO: dict[str, dict] = {
     "college_mini": dict(
         n_strips=2, strip_min=2, strip_max=4,

@@ -1,4 +1,4 @@
-"""Edge-list canonicalisation and Spark <-> pandas conversion.
+"""Edge-list canonicalisation.
 
 Every graph in this repo is an unweighted, undirected simple graph
 represented as an edge list with integer vertex ids. The canonical form
@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 
 def _vertex_ids(col: pd.Series) -> np.ndarray:
@@ -46,24 +44,3 @@ def canonical_edges(pdf: pd.DataFrame) -> pd.DataFrame:
     out = pd.DataFrame({"src": lo[keep], "dst": hi[keep]})
     out = out.drop_duplicates().sort_values(["src", "dst"]).reset_index(drop=True)
     return out
-
-
-def spark_edges(spark: SparkSession, pdf: pd.DataFrame) -> DataFrame:
-    """Lift a canonical pandas edge frame into a Spark DataFrame."""
-    return spark.createDataFrame(canonical_edges(pdf))
-
-
-def canonicalize_spark(edges: DataFrame) -> DataFrame:
-    """Canonicalise a Spark edge DataFrame (src<dst, distinct, no loops)."""
-    return (
-        edges.select(
-            F.least("src", "dst").alias("src"), F.greatest("src", "dst").alias("dst")
-        )
-        .where(F.col("src") != F.col("dst"))
-        .distinct()
-    )
-
-
-def edge_key(u: int, v: int) -> tuple[int, int]:
-    """The canonical (min, max) key of an undirected edge."""
-    return (u, v) if u < v else (v, u)

@@ -1,2 +1,2 @@
-"""Truss substrate: local kernel, naive oracle, distributed (DataFrame) triangles and support."""
+"""Truss substrate: local kernel and naive oracle."""
 from repro.truss.local import INF_T, LocalGraph, TrussState, decompose  # noqa: F401

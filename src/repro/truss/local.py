@@ -89,10 +89,6 @@ class LocalGraph:
         """Initial support ``sup(e, G)`` for every edge, as an array."""
         return np.bincount(self.tri.ravel(), minlength=self.m)
 
-    def to_pandas(self) -> pd.DataFrame:
-        """The canonical edge frame (columns ``src``, ``dst``)."""
-        return pd.DataFrame({"src": self.edges[:, 0], "dst": self.edges[:, 1]})
-
 
 def _triangles(local: np.ndarray, n: int) -> np.ndarray:
     """Every triangle of the relabelled edges ``local`` as a row of edge ids.
@@ -185,10 +181,14 @@ def decompose(g: LocalGraph, anchors: frozenset[int] | set[int] = frozenset()) -
     k-hull in which they fall. Each round removes every peelable edge
     with ``sup <= k-2`` at once; each live triangle with a removed edge
     dies once and takes one support from each of its edges. Deterministic
-    for a given (graph, anchors) pair.
+    for a given (graph, anchors) pair. ``ValueError`` if an anchor is
+    not an edge id ``0..m-1``.
     """
     anchors = frozenset(anchors)
     m = g.m
+    for a in anchors:
+        if not 0 <= a < m:
+            raise ValueError(f"anchor edge id {a} is outside 0..m-1 (m = {m})")
     peelable = np.ones(m, dtype=bool)  # alive and not anchored
     peelable[list(anchors)] = False
     sup = g.support()

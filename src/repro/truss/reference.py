@@ -7,12 +7,10 @@ computed by fixpoint filtering for each ``k`` separately, trussness is
 the largest ``k`` whose truss contains the edge, and a layer is the
 round in which synchronous rounds remove the edge from its ``k``-truss.
 Only the triangle lookups (:meth:`LocalGraph.triangles_of`) are shared
-with the kernel; ``tests/test_support_oracle.py`` checks those against
+with the kernel; ``tests/test_triangles.py`` checks those against
 brute force and networkx.
 """
 from __future__ import annotations
-
-import pandas as pd
 
 from repro.truss.local import INF_T, LocalGraph
 
@@ -101,12 +99,3 @@ def followers_naive(
         for e in range(g.m)
         if e != x and e not in anchors and after[e] > before[e]
     }
-
-
-def support_naive(pdf: pd.DataFrame) -> pd.DataFrame:
-    """Support of every edge of a canonical edge frame (pure pandas)."""
-    g = LocalGraph(pdf)
-    sup = g.support()
-    out = g.to_pandas()
-    out["sup"] = sup
-    return out

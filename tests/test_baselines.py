@@ -1,7 +1,11 @@
 """Rand / Sup / Tur random baselines and the AKT vertex baseline."""
+import itertools
+
 import numpy as np
 import pandas as pd
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as hst
 
 from repro.baselines.akt import (
     akt_greedy,
@@ -148,6 +152,38 @@ def test_akt_greedy_and_sweep(graph):
     sweep = akt_sweep(None, g, st, b=2, k_values=[3, 4])
     assert set(sweep) == {3, 4}
     assert all(v >= 0 for v in sweep.values())
+    assert akt_sweep(None, g, st, b=2, k_values=[]) == {}
+
+
+@hst.composite
+def graph_level_vertices(draw):
+    """A random graph on at most 10 vertices, a level ``k`` in
+    ``3..kmax+1`` and a random set of anchor vertices."""
+    n = draw(hst.integers(3, 10))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(hst.lists(hst.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = [p for p, k in zip(pairs, keep) if k]
+    assume(edges)
+    g = LocalGraph(pd.DataFrame(edges, columns=["src", "dst"]))
+    st = decompose(g)
+    k = draw(hst.integers(3, st.kmax + 1))
+    verts = draw(hst.sets(hst.sampled_from(g.vertices()), max_size=3))
+    return g, st, k, frozenset(verts)
+
+
+@given(graph_level_vertices())
+def test_akt_counts_match_definition(case):
+    """AKT's counts equal the anchored k-truss of the ``t >= k-1``
+    subgraph built by the definition-level oracle, with the edges
+    incident to an anchored vertex protected."""
+    g, st, k, verts = case
+    keep = [e for e in range(g.m) if st.t[e] >= k - 1]
+    sub = LocalGraph(pd.DataFrame(g.edges[keep], columns=["src", "dst"]))
+    t_sub = [int(st.t[g.edge_id(*sub.edge(i))]) for i in range(sub.m)]
+    protected = frozenset(i for i in range(sub.m) if set(sub.edge(i)) & verts)
+    frontier = [i for i in ktruss_edge_set(sub, k, protected) if t_sub[i] == k - 1]
+    expected = (len(frontier), sum(1 for i in frontier if i not in protected))
+    assert anchored_ktruss_counts(g, st, k, verts) == expected
 
 
 def test_akt_avg_below_gas(graph):

@@ -128,6 +128,17 @@ def test_empty_and_tiny_graphs():
     assert int(st.t[0]) == 2 and int(st.layer[0]) == 1
 
 
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_anchor_id_out_of_range_raises(bad):
+    """Edge ids run ``0..m-1``: ``-1`` must not wrap round to the last
+    edge and ``m`` must not escape as a bare ``IndexError``."""
+    g = LocalGraph(clique([0, 1, 2]))
+    with pytest.raises(ValueError, match=f"anchor edge id {bad} "):
+        decompose(g, {bad})
+    with pytest.raises(ValueError, match=f"anchor edge id {bad} "):
+        trussness_gain(g, decompose(g), {0, bad})
+
+
 @st.composite
 def graph_and_anchor_set(draw):
     """A random graph on at most 11 vertices and a random anchor set."""

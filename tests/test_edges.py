@@ -2,7 +2,7 @@
 import pandas as pd
 import pytest
 
-from repro.graphs.edges import canonical_edges, canonicalize_spark, edge_key, spark_edges
+from repro.graphs.edges import canonical_edges
 from repro.truss.local import LocalGraph
 
 
@@ -52,26 +52,6 @@ def test_edge_ids_deterministic():
     g1 = LocalGraph(pdf)
     g2 = LocalGraph(pdf.iloc[::-1])
     assert (g1.edges == g2.edges).all()
-
-
-@pytest.mark.parametrize("u,v", [(1, 2), (2, 1), (0, 5), (5, 0)])
-def test_edge_key_unordered(u, v):
-    assert edge_key(u, v) == (min(u, v), max(u, v))
-
-
-def test_spark_roundtrip(spark):
-    pdf = pd.DataFrame({"src": [2, 1, 3], "dst": [1, 3, 2]})
-    out = spark_edges(spark, pdf).toPandas().sort_values(["src", "dst"])
-    assert len(out) == 3
-    assert (out["src"] < out["dst"]).all()
-
-
-def test_canonicalize_spark(spark):
-    df = spark.createDataFrame(
-        pd.DataFrame({"src": [2, 1, 1, 4], "dst": [1, 2, 1, 5]})
-    )
-    out = canonicalize_spark(df).toPandas().sort_values(["src", "dst"]).reset_index(drop=True)
-    assert out.to_dict("list") == {"src": [1, 4], "dst": [2, 5]}
 
 
 def test_localgraph_queries():
