@@ -51,6 +51,9 @@ import pytest  # noqa: E402
 from hypothesis import settings  # noqa: E402
 from pyspark.sql import SparkSession  # noqa: E402
 
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "jobs"))
+from _session import get_spark  # noqa: E402
+
 # Property tests replay the same examples on every run: no flakes, no
 # example database on disk, and a bounded share of the suite's time.
 settings.register_profile(
@@ -63,23 +66,11 @@ settings.load_profile("repro")
 def spark() -> SparkSession:
     """One local-mode SparkSession for the whole test session.
 
-    Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set above,
-    pre-JVM-launch). Per-session configs that *are* honoured post-launch
-    (shuffle partitions, Arrow, broadcast threshold) are set here.
-    Broadcast joins are disabled so papers about shuffle/join algorithms
-    actually exercise the shuffle path at SF~=0.1; a reproduction that
-    wants a broadcast join sets the threshold back for that query.
+    Driver memory comes from ``PYSPARK_SUBMIT_ARGS`` (set above,
+    pre-JVM-launch). The session itself is built by the jobs' own
+    ``get_spark``, so tests and jobs run with the same configuration.
     """
-    s = (
-        SparkSession.builder.appName("repro")
-        .config(
-            "spark.sql.shuffle.partitions",
-            os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"),
-        )
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .getOrCreate()
-    )
+    s = get_spark("repro")
     # One line in test_output.txt that tells the driver whether the
     # cgroup derivation saw the real limit (README § Spark target).
     print(

@@ -1,2 +1,2 @@
-"""The paper's contribution: upward-route follower search, truss
-component tree, and the greedy BASE / BASE+ / GAS anchoring algorithms."""
+"""The paper's contribution: upward-route follower search and the
+greedy BASE / BASE+ / GAS anchoring algorithms."""

@@ -31,20 +31,25 @@ candidate is evaluated:
   deterministic function of the recorded verdicts of its reads; where
   none moved and the roots are the same, recomputing replays the same
   computation. A candidate missing some levels recomputes its roots
-  (one pass over the triangles of ``x``) and only those levels, so the
-  paper's partially-reusable (PR) class of Exp-8 is executed, not only
-  reported, beside the fully reusable (FR) entries kept whole and the
-  not-reusable (NR) ones dropped whole. The truss component tree
-  itself is rebuilt only to report those classes (``track_tree``; see
-  DESIGN.md for why the executable test is the read-set, not the tree).
+  (one pass over the triangles of ``x``) and only those levels (see
+  DESIGN.md for why the executable test is the read-set, not the
+  paper's truss component tree).
 
 Each round is reported as a :class:`RoundStats`: ``best`` and ``gain``;
 ``evaluated``, the candidates with any recomputation, and ``reused``,
 the rest; ``levels_recomputed``, the (candidate, level) follower
 computations run; ``changed``, the edges whose ``(t, l)`` the
-anchoring moved, the anchor included; ``invalidated``, the cached
-entries it dropped whole (GAS only); ``seconds``; and
-``reuse_classes``, the FR / PR / NR counts when the tree is tracked.
+anchoring moved, the anchor included; ``invalidated`` and ``partial``,
+the cached entries it dropped whole and in part (GAS only); and
+``seconds``.
+
+These counts are the paper's Exp-8 reuse classes as GAS executes them.
+After GAS round ``r`` every cached entry is fully reusable (FR, round
+``r+1``'s ``reused``), partially reusable (PR, ``partial``) or not
+reusable (NR, ``invalidated``, the new anchor included), so
+``invalidated + partial + reused[r+1] == evaluated + reused`` and
+``evaluated[r+1] == invalidated + partial - 1``. BASE and BASE+ keep
+nothing: 0 / 0 / 0.
 
 Candidate evaluation is the hot loop and is *embarrassingly parallel
 across candidates*, so from ``spark_threshold`` candidates on it fans
@@ -57,13 +62,12 @@ from __future__ import annotations
 import functools
 import numbers
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from pyspark.sql import SparkSession
 
 from repro.core.followers import FollowerResult, get_followers, root_verdict
-from repro.core.tree import build_tree, classify_reuse, expired_nodes, node_signature
 from repro.fanout import fan_out
 from repro.truss.local import LocalGraph, TrussState, decompose, trussness_gain
 
@@ -79,8 +83,8 @@ class RoundStats:
     levels_recomputed: int
     changed: int
     invalidated: int
+    partial: int
     seconds: float
-    reuse_classes: dict[str, int] = field(default_factory=dict)
 
 
 @dataclass
@@ -190,15 +194,12 @@ def run_greedy(
     b: int,
     method: str = "gas",
     spark_threshold: int = 512,
-    track_tree: bool = False,
 ) -> GreedyResult:
     """Run ``b`` rounds of greedy anchoring with the given method.
 
     ``method`` in ``{"base", "base+", "gas"}``. ``spark_threshold`` is
     the candidate count above which evaluation fans out to Spark;
-    pass 0 to force the distributed path (tests do). ``track_tree``
-    additionally rebuilds the truss component tree per round and logs
-    the FR/PR/NR reuse classes (costs one tree build per round).
+    pass 0 to force the distributed path (tests do).
     """
     if method not in {"base", "base+", "gas"}:
         raise ValueError(f"unknown method {method!r}")
@@ -209,8 +210,6 @@ def run_greedy(
     cache: dict[int, FollowerResult] = {}  # complete results, reusable as they are
     partial: dict[int, FollowerResult] = {}  # results missing the levels last dropped
     rounds: list[RoundStats] = []
-    tree = build_tree(g, st) if track_tree else None
-    sig = node_signature(tree, st) if track_tree else None
 
     for _ in range(b):
         r_start = time.perf_counter()
@@ -247,16 +246,6 @@ def run_greedy(
         st = decompose(g, frozenset(anchors))
         changed = np.flatnonzero((st.t != prev.t) | (st.layer != prev.layer))
 
-        reuse_classes: dict[str, int] = {}
-        if track_tree:
-            new_tree = build_tree(g, st)
-            new_sig = node_signature(new_tree, st)
-            es = expired_nodes(sig, new_sig)
-            cls = classify_reuse(g, st, new_tree, es)
-            for v in cls.values():
-                reuse_classes[v] = reuse_classes.get(v, 0) + 1
-            tree, sig = new_tree, new_sig
-
         invalidated = 0
         if method == "gas":
             invalidated, partial = _invalidate(g, cache, prev, st, changed)
@@ -269,8 +258,8 @@ def run_greedy(
                 levels_recomputed=levels_recomputed,
                 changed=len(changed),
                 invalidated=invalidated,
+                partial=len(partial),
                 seconds=time.perf_counter() - r_start,
-                reuse_classes=reuse_classes,
             )
         )
 

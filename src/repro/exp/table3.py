@@ -83,12 +83,11 @@ def run_table3(
     b: int = 20,
     trials: int = 200,
     base_on: tuple[str, ...] = ("college",),
-    loader=load,
 ) -> pd.DataFrame:
     """All Table III rows; BASE runs only on ``base_on`` datasets."""
     rows = []
-    for name in names or NAMES:
-        g = loader(name)
+    for name in NAMES if names is None else names:
+        g = load(name)
         rows.append(
             run_dataset(
                 spark, name, g, b=b, trials=trials, with_base=name in base_on

@@ -15,12 +15,12 @@ from repro.exp.datasets import NAMES, load
 
 
 def run_table4(
-    spark: SparkSession, names: list[str] | None = None, loader=load
+    spark: SparkSession, names: list[str] | None = None
 ) -> pd.DataFrame:
     """One row (min/max/sum/avg route size) per dataset."""
     rows = []
-    for name in names or NAMES:
-        g = loader(name)
+    for name in NAMES if names is None else names:
+        g = load(name)
         st = decompose(g)
         stats = route_stats(route_sizes_spark(spark, g, st))
         rows.append({"dataset": name, **stats})

@@ -21,12 +21,11 @@ def run_table5(
     spark: SparkSession,
     names: list[str] | None = None,
     b: int = 10,
-    loader=load,
 ) -> pd.DataFrame:
     """One row (avg_gain %, max_gain %) per dataset."""
     rows = []
-    for name in names or NAMES:
-        g = loader(name)
+    for name in NAMES if names is None else names:
+        g = load(name)
         st = decompose(g)
         gas = run_greedy(spark, g, b, "gas")
         akt = akt_sweep(spark, g, st, b)

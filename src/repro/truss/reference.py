@@ -9,10 +9,21 @@ round in which synchronous rounds remove the edge from its ``k``-truss.
 Only the triangle lookups (:meth:`LocalGraph.triangles_of`) are shared
 with the kernel; ``tests/test_triangles.py`` checks those against
 brute force and networkx.
+
+The truss component tree (paper Algorithm 4) is kept here too, as the
+oracle for Lemma 4: a node holds the minimum-trussness edges of one
+triangle-connected subgraph, its children are the components left
+after peeling those edges, and the subgraph under a node with
+``TN.K = k`` is a ``k``-truss component (Definition 9). ``sla(e)``
+(subtree adjacency nodes) bounds where followers of ``e`` can live:
+``F(e) ⊆ ⋃_{id∈sla(e)} node(id).E``. GAS itself decides reuse by
+read-sets (:mod:`repro.core.greedy`), not by the tree.
 """
 from __future__ import annotations
 
-from repro.truss.local import INF_T, LocalGraph
+from dataclasses import dataclass, field
+
+from repro.truss.local import INF_T, LocalGraph, TrussState
 
 
 def ktruss_edge_set(
@@ -99,3 +110,118 @@ def followers_naive(
         for e in range(g.m)
         if e != x and e not in anchors and after[e] > before[e]
     }
+
+
+@dataclass
+class TreeNode:
+    """One truss-component-tree node (paper Table II)."""
+
+    K: int
+    E: set[int] = field(default_factory=set)
+    I: int = -1
+    P: "TreeNode | None" = None
+    C: list["TreeNode"] = field(default_factory=list)
+
+
+@dataclass
+class TrussTree:
+    """The forest of truss component trees plus an edge -> node index."""
+
+    roots: list[TreeNode]
+    node_of: dict[int, TreeNode]
+
+    def nodes(self) -> list[TreeNode]:
+        """All nodes in preorder."""
+        out: list[TreeNode] = []
+        stack = list(self.roots)
+        while stack:
+            n = stack.pop()
+            out.append(n)
+            stack.extend(n.C)
+        return out
+
+    def node_id(self, e: int) -> int:
+        """``TN.I`` of the node containing edge ``e``."""
+        return self.node_of[e].I
+
+
+def _components(g: LocalGraph, edges: set[int]) -> list[set[int]]:
+    """Triangle-connected components of the subgraph induced by ``edges``.
+
+    Union-find over edges, uniting the three edges of every triangle
+    whose edges all survive in ``edges``. Triangle-free edges are
+    singleton components.
+    """
+    parent = {e: e for e in edges}
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    def unite(a: int, b: int) -> None:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+
+    for e in edges:
+        for e1, e2 in g.triangles_of(e):
+            if e1 in edges and e2 in edges:
+                unite(e, e1)
+                unite(e, e2)
+    comps: dict[int, set[int]] = {}
+    for e in edges:
+        comps.setdefault(find(e), set()).add(e)
+    return list(comps.values())
+
+
+def build_tree(g: LocalGraph, st: TrussState) -> TrussTree:
+    """Construct the truss component tree (Algorithm 4, iterative form).
+
+    Anchored edges participate in connectivity like any other edge and
+    are placed by their ``INF_T`` trussness in the deepest node of
+    their component.
+    """
+    t = st.lists[0]
+    node_of: dict[int, TreeNode] = {}
+    roots: list[TreeNode] = []
+    all_edges = set(range(g.m))
+    # Worklist of (edge-subset, parent node); mirrors the recursion of
+    # Algorithm 4 without Python recursion-depth limits.
+    stack: list[tuple[set[int], TreeNode | None]] = [(all_edges, None)]
+    while stack:
+        edges, parent = stack.pop()
+        if not edges:
+            continue
+        for comp in _components(g, edges):
+            kmin = min(t[e] for e in comp)
+            tn = TreeNode(K=kmin, P=parent)
+            members = {e for e in comp if t[e] == kmin}
+            tn.E = members
+            tn.I = min(members)
+            for e in members:
+                node_of[e] = tn
+            if parent is None:
+                roots.append(tn)
+            else:
+                parent.C.append(tn)
+            rest = comp - members
+            if rest:
+                stack.append((rest, tn))
+    return TrussTree(roots=roots, node_of=node_of)
+
+
+def sla(g: LocalGraph, st: TrussState, tree: TrussTree, e: int) -> set[int]:
+    """Subtree-adjacency node ids of edge ``e``.
+
+    ``id ∈ sla(e)`` iff some neighbour-edge ``e'`` of ``e`` has
+    ``t(e') >= t(e)`` and lives in the node with ``TN.I = id``.
+    """
+    t = st.lists[0]
+    out: set[int] = set()
+    for pair in g.triangles_of(e):
+        for p in pair:
+            if t[p] >= t[e]:
+                out.add(tree.node_id(p))
+    return out

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from repro.core.followers import get_followers
 from repro.graphs.gen import clique, community_graph, random_graph, union
 from repro.graphs.toys import truss_ladder, two_triangles
 from repro.truss.local import INF_T, LocalGraph, decompose, trussness_gain
@@ -161,3 +162,19 @@ def test_layers_match_naive(case):
     res = decompose(g, anchors)
     assert res.t.tolist() == [t[e] for e in range(g.m)]
     assert res.layer.tolist() == [layer[e] for e in range(g.m)]
+
+
+@given(graph_and_anchor_set())
+def test_lemma1_gain_at_most_one_under_anchors(case):
+    """Lemma 1 under existing anchors ``A``: anchoring one more edge
+    ``x`` raises the trussness of every other non-anchored edge by 0 or
+    1, and the edges that rise are exactly the followers of ``x``."""
+    g, anchors = case
+    st = decompose(g, anchors)
+    for x in set(range(g.m)) - anchors:
+        after = decompose(g, anchors | {x})
+        rest = [e for e in range(g.m) if e != x and e not in anchors]
+        rise = after.t[rest] - st.t[rest]
+        assert set(rise.tolist()) <= {0, 1}, x
+        risen = {e for e, d in zip(rest, rise) if d}
+        assert risen == get_followers(g, st, x).followers, x

@@ -58,7 +58,9 @@ def test_gas_reuses_cache():
 def test_round_stats_count_reuse():
     """Per-round counts: every candidate is evaluated or reused, the
     anchor is among the changed edges and its own entry is dropped
-    whole, and GAS recomputes fewer levels than BASE+ after round 1."""
+    whole, every cached entry is then kept whole (FR), kept in part (PR)
+    or dropped (NR), and GAS recomputes fewer levels than BASE+ after
+    round 1."""
     g = LocalGraph(
         community_graph(n=60, n_cliques=25, clique_max=8, n_noise=20, drop_frac=0.1, seed=2)
     )
@@ -68,6 +70,10 @@ def test_round_stats_count_reuse():
         assert rg.evaluated + rg.reused == rp.evaluated == g.m - r
         assert rg.changed == rp.changed >= 1
         assert rg.invalidated >= 1 and rp.invalidated == 0
+        assert rp.partial == 0
+    for rd, nxt in zip(gas.rounds, gas.rounds[1:]):
+        assert rd.invalidated + rd.partial + nxt.reused == rd.evaluated + rd.reused
+        assert nxt.evaluated == rd.invalidated + rd.partial - 1
     assert gas.rounds[0].levels_recomputed == bp.rounds[0].levels_recomputed > 0
     assert sum(r.levels_recomputed for r in gas.rounds[1:]) < sum(
         r.levels_recomputed for r in bp.rounds[1:]
@@ -105,15 +111,6 @@ def test_unknown_method_raises():
         run_greedy(None, g, 1, "bogus")
 
 
-def test_track_tree_reports_classes():
-    g = LocalGraph(
-        community_graph(n=40, n_cliques=14, n_noise=10, drop_frac=0.12, seed=4)
-    )
-    r = run_greedy(None, g, 2, "gas", spark_threshold=LOCAL, track_tree=True)
-    assert r.rounds[0].reuse_classes  # populated after the first anchoring
-    assert set().union(*[set(rd.reuse_classes) for rd in r.rounds]) <= {"FR", "PR", "NR"}
-
-
 # ---- distributed paths -------------------------------------------------
 
 def test_gas_spark_path_matches_local(spark):
@@ -124,6 +121,11 @@ def test_gas_spark_path_matches_local(spark):
     dist = run_greedy(spark, g, 2, "gas", spark_threshold=0)
     assert local.anchors == dist.anchors
     assert local.total_gain == dist.total_gain
+
+    def counts(res):
+        return [(r.evaluated, r.reused, r.invalidated, r.partial) for r in res.rounds]
+
+    assert counts(local) == counts(dist)
 
 
 def test_base_spark_path_matches_local(spark):

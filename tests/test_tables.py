@@ -55,6 +55,19 @@ def test_table5_micro(spark):
     assert (df["avg_gain_pct"] <= df["max_gain_pct"] + 1e-9).all()
 
 
+@pytest.mark.parametrize(
+    "run", [run_table3, run_table4, run_table5], ids=lambda f: f.__name__
+)
+def test_empty_names_run_no_dataset(run, monkeypatch):
+    """``names=[]`` selects and builds no dataset; only ``None`` means all
+    eight."""
+    def no_build(name):
+        raise AssertionError(f"built {name}")
+
+    monkeypatch.setattr("repro.exp.datasets.edge_frame", no_build)
+    assert run(None, names=[]).empty
+
+
 def test_format_row_handles_missing_base():
     s = format_row(
         dict(

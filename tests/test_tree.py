@@ -2,17 +2,10 @@
 import pytest
 
 from repro.core.followers import get_followers
-from repro.core.tree import (
-    build_tree,
-    classify_reuse,
-    expired_nodes,
-    node_signature,
-    sla,
-)
 from repro.graphs.gen import community_graph, random_graph
 from repro.graphs.toys import truss_ladder, two_triangles
 from repro.truss.local import INF_T, LocalGraph, decompose
-from repro.truss.reference import ktruss_edge_set
+from repro.truss.reference import build_tree, ktruss_edge_set, sla
 
 
 def _graphs():
@@ -106,56 +99,3 @@ def test_lemma4_followers_within_sla_nodes(label, pdf):
                     allowed |= tn.E
         fr = get_followers(g, st, x)
         assert fr.followers <= allowed, (label, g.edge(x))
-
-
-def test_signature_diff_detects_changes():
-    g = LocalGraph(truss_ladder())
-    st0 = decompose(g)
-    tree0 = build_tree(g, st0)
-    sig0 = node_signature(tree0, st0)
-    # identical rebuild -> nothing expired
-    assert expired_nodes(sig0, node_signature(build_tree(g, st0), st0)) == set()
-    # anchor an edge with followers -> some node expires
-    from repro.core.greedy import run_greedy
-
-    res = run_greedy(None, g, 1, "gas", spark_threshold=10**9)
-    x = res.anchors[0]
-    st1 = decompose(g, frozenset({x}))
-    tree1 = build_tree(g, st1)
-    es = expired_nodes(sig0, node_signature(tree1, st1))
-    assert es, "anchoring must expire at least the anchor's node"
-
-
-def test_classify_reuse_counts():
-    g = LocalGraph(
-        community_graph(n=45, n_cliques=15, n_noise=12, drop_frac=0.12, seed=6)
-    )
-    st0 = decompose(g)
-    tree0 = build_tree(g, st0)
-    sig0 = node_signature(tree0, st0)
-    st1 = decompose(g, frozenset({0}))
-    tree1 = build_tree(g, st1)
-    es = expired_nodes(sig0, node_signature(tree1, st1))
-    cls = classify_reuse(g, st1, tree1, es)
-    assert set(cls.values()) <= {"FR", "PR", "NR"}
-    assert len(cls) == g.m - 1  # anchored edge excluded
-
-
-def test_fully_reusable_results_are_unchanged():
-    """FR-classified edges must have identical follower sets after the
-    anchoring — the semantic guarantee behind Algorithm 5."""
-    g = LocalGraph(
-        community_graph(n=40, n_cliques=14, n_noise=10, drop_frac=0.12, seed=8)
-    )
-    st0 = decompose(g)
-    tree0 = build_tree(g, st0)
-    sig0 = node_signature(tree0, st0)
-    before = {x: get_followers(g, st0, x).followers for x in range(g.m)}
-    x_anchor = max(before, key=lambda e: len(before[e]))
-    st1 = decompose(g, frozenset({x_anchor}))
-    tree1 = build_tree(g, st1)
-    es = expired_nodes(sig0, node_signature(tree1, st1))
-    cls = classify_reuse(g, st1, tree1, es)
-    for e, c in cls.items():
-        if c == "FR" and e != x_anchor:
-            assert get_followers(g, st1, e).followers == before[e], g.edge(e)
