@@ -30,12 +30,18 @@ those verdicts and the root verdicts (:func:`root_verdict`) are
 unchanged, recomputing the level replays the same computation and
 returns the same :class:`Level`. GAS (:mod:`repro.core.greedy`) reuses
 levels on exactly that condition.
+
+Before any of that, :func:`may_have_followers` proves most candidates
+follower-free with one whole-graph numpy pass per state (not in the
+paper; derived from Lemma 2 and the support check, see its docstring).
 """
 from __future__ import annotations
 
 from collections import deque
 from collections.abc import Collection
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.truss.local import INF_T, LocalGraph, TrussState
 
@@ -234,3 +240,67 @@ def get_followers(
     roots, root_reads = _roots(g, st, x)
     levels = {i: _level(g, st, x, i, rs) for i, rs in roots.items() if i not in skip}
     return FollowerResult(x=x, root_reads=root_reads, levels=levels)
+
+
+def may_have_followers(g: LocalGraph, st: TrussState) -> np.ndarray:
+    """Boolean mask over edges: ``False`` proves ``x`` has no follower.
+
+    ``Z`` is the greatest set of non-anchored edges in which every edge
+    ``e`` with ``t(e) = i`` has ``c2 >= i-2`` and ``c1 + c2 >= i-1``. A
+    partner of ``e`` *qualifies* if ``t > i`` (anchors included) or
+    ``t = i`` and it is in ``Z``; ``c2`` counts the triangles of ``e``
+    whose two partners both qualify, ``c1`` those with exactly one.
+    ``Z`` is computed by synchronous peeling over ``g.tri``, as
+    :func:`~repro.truss.local.decompose` peels. ``x`` passes iff one
+    of its roots (a partner whose :func:`root_verdict` against ``x``
+    lies strictly between 0 and ``INF_T``) is in ``Z``; anchored edges
+    never pass.
+
+    Exactness. Suppose ``x`` has a non-empty set ``F`` of level-``i``
+    followers. Each ``f`` in ``F`` keeps ``>= i-1`` effective
+    triangles, whose partners are ``x``, anchors, edges with ``t > i``
+    or edges of ``F``. At most one of them contains ``x`` (two edges
+    share at most one triangle), and its other partner qualifies. So
+    with ``F`` in place of ``Z`` every ``f`` has ``c2 >= i-2`` and
+    ``c1 + c2 >= i-1``; the condition is monotone in the set, so
+    ``F ⊆ Z``. Some ``f`` in ``F`` is a triangle partner of ``x``:
+    otherwise every ``f`` keeps ``i-1`` triangles within
+    ``F ∪ {t > i} ∪ A``, which would then lie in the ``(i+1)``-truss of
+    ``G_A`` already. By Lemma 2 a follower comes after ``x`` in
+    deletion order, so that partner is a root of ``x``, and it is in
+    ``Z``.
+    """
+    t, m = st.t, g.m
+    a, b, c = g.tri.T
+    own = np.concatenate([a, b, c])  # every triangle once per edge,
+    p = np.concatenate([b, a, a])  # with that edge's two partners
+    q = np.concatenate([c, c, b])
+    z = t < INF_T
+    # Peel Z. A partner above the owner's level always qualifies; one at
+    # the owner's level qualifies while it is in Z.
+    live = z[own]
+    e, ep, eq = own[live], p[live], q[live]
+    te, tp, tq = t[e], t[ep], t[eq]
+    above_p, above_q, at_p, at_q = tp > te, tq > te, tp == te, tq == te
+    while True:
+        qp = above_p | (at_p & z[ep])
+        qq = above_q | (at_q & z[eq])
+        c2 = np.bincount(e[qp & qq], minlength=m)
+        c12 = np.bincount(e[qp | qq], minlength=m)
+        drop = z & ((c2 < t - 2) | (c12 < t - 1))
+        if not drop.any():
+            break
+        z &= ~drop
+        live = z[e]
+        e, ep, eq, above_p, above_q, at_p, at_q = (
+            v[live] for v in (e, ep, eq, above_p, above_q, at_p, at_q)
+        )
+    # x passes iff a partner r in Z roots a level of x. Edges of Z are
+    # not anchored, and nothing lies above an anchored x.
+    x, r = np.concatenate([own, own]), np.concatenate([p, q])
+    x, r = x[z[r]], r[z[r]]
+    tx, tr = t[x], t[r]
+    root = (tr > tx) | ((tr == tx) & (st.layer[r] > st.layer[x]))
+    out = np.zeros(m, dtype=bool)
+    out[x[root]] = True
+    return out

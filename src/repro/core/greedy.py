@@ -35,27 +35,37 @@ candidate is evaluated:
   DESIGN.md for why the executable test is the read-set, not the
   paper's truss component tree).
 
-Each round is reported as a :class:`RoundStats`: ``best`` and ``gain``;
-``evaluated``, the candidates with any recomputation, and ``reused``,
-the rest; ``levels_recomputed``, the (candidate, level) follower
-computations run; ``changed``, the edges whose ``(t, l)`` the
-anchoring moved, the anchor included; ``invalidated`` and ``partial``,
-the cached entries it dropped whole and in part (GAS only); and
-``seconds``.
+BASE+ and GAS put one exact zero-gain test in front of the follower
+search (:func:`~repro.core.followers.may_have_followers`, not in the
+paper). Each round, a candidate without a complete cached result is
+evaluated only if it passes; the rest score 0 and are not cached. BASE
+stays the paper's full re-decomposition of every candidate.
 
-These counts are the paper's Exp-8 reuse classes as GAS executes them.
-After GAS round ``r`` every cached entry is fully reusable (FR, round
-``r+1``'s ``reused``), partially reusable (PR, ``partial``) or not
-reusable (NR, ``invalidated``, the new anchor included), so
+Each round is reported as a :class:`RoundStats`: ``best`` and ``gain``;
+``evaluated``, the candidates with any recomputation, ``reused``, those
+served whole from the cache, and ``pruned``, those the zero-gain test
+skipped, so ``evaluated + reused + pruned`` is the number of
+non-anchored edges (BASE prunes nothing); ``levels_recomputed``, the
+(candidate, level) follower computations run; ``changed``, the edges
+whose ``(t, l)`` the anchoring moved, the anchor included;
+``invalidated`` and ``partial``, the cached entries it dropped whole
+and in part (GAS only); and ``seconds``.
+
+These counts are the paper's Exp-8 reuse classes as GAS executes them,
+over the candidates that passed the test. After GAS round ``r`` every
+cached entry is fully reusable (FR, round ``r+1``'s ``reused``),
+partially reusable (PR, ``partial``) or not reusable (NR,
+``invalidated``, the new anchor included), so
 ``invalidated + partial + reused[r+1] == evaluated + reused`` and
-``evaluated[r+1] == invalidated + partial - 1``. BASE and BASE+ keep
-nothing: 0 / 0 / 0.
+``evaluated[r+1] + pruned[r+1] == invalidated + partial - 1 + pruned``.
+BASE and BASE+ keep nothing: 0 / 0 / 0.
 
 Candidate evaluation is the hot loop and is *embarrassingly parallel
-across candidates*, so from ``spark_threshold`` candidates on it fans
-out over Spark (:func:`repro.fanout.fan_out`) with the (small) graph and
-decomposition state in the task closure. Below that the driver
-evaluates directly — task overhead would dominate.
+across candidates*, so from ``spark_threshold`` candidates to evaluate
+on (counted after the zero-gain test) it fans out over Spark
+(:func:`repro.fanout.fan_out`) with the (small) graph and decomposition
+state in the task closure. Below that the driver evaluates directly —
+task overhead would dominate.
 """
 from __future__ import annotations
 
@@ -67,7 +77,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 from pyspark.sql import SparkSession
 
-from repro.core.followers import FollowerResult, get_followers, root_verdict
+from repro.core.followers import (
+    FollowerResult,
+    get_followers,
+    may_have_followers,
+    root_verdict,
+)
 from repro.fanout import fan_out
 from repro.truss.local import LocalGraph, TrussState, decompose, trussness_gain
 
@@ -80,6 +95,7 @@ class RoundStats:
     gain: int
     evaluated: int
     reused: int
+    pruned: int
     levels_recomputed: int
     changed: int
     invalidated: int
@@ -182,12 +198,6 @@ def check_budget(b: int, cap: int) -> int:
     return min(int(b), cap)
 
 
-def _pick_best(gains: dict[int, int]) -> tuple[int, int]:
-    """Argmax gain, smallest edge id on ties — shared by all methods."""
-    best = min(gains, key=lambda e: (-gains[e], e))
-    return best, gains[best]
-
-
 def run_greedy(
     spark: SparkSession,
     g: LocalGraph,
@@ -197,8 +207,9 @@ def run_greedy(
 ) -> GreedyResult:
     """Run ``b`` rounds of greedy anchoring with the given method.
 
-    ``method`` in ``{"base", "base+", "gas"}``. ``spark_threshold`` is
-    the candidate count above which evaluation fans out to Spark;
+    ``method`` in ``{"base", "base+", "gas"}``. Evaluation fans out to
+    Spark when the candidates to evaluate (for BASE+ and GAS, those
+    that pass the zero-gain test) number ``spark_threshold`` or more;
     pass 0 to force the distributed path (tests do).
     """
     if method not in {"base", "base+", "gas"}:
@@ -213,34 +224,38 @@ def run_greedy(
 
     for _ in range(b):
         r_start = time.perf_counter()
-        cand = [e for e in range(g.m) if e not in anchors]
-        if not cand:
-            break
-        levels_recomputed = 0
+        free = np.ones(g.m, dtype=bool)
+        free[list(anchors)] = False
+        gains = np.where(free, 0, -1)  # an anchored edge is never the best
+        levels_recomputed = pruned = 0
         if method == "base":
+            cand = np.flatnonzero(free).tolist()
             gain_of = functools.partial(trussness_gain, g, st)
-            gains = dict(zip(cand, fan_out(spark, gain_of, [{e} for e in cand], spark_threshold)))
+            gains[cand] = fan_out(spark, gain_of, [{e} for e in cand], spark_threshold)
             evaluated, reused = len(cand), 0
         else:
-            if method == "gas":
-                stale = [e for e in cand if e not in cache]
-            else:
-                stale = cand
+            if method == "base+":
                 cache.clear()
+            stale = free.copy()
+            stale[list(cache)] = False
+            todo = np.flatnonzero(stale & may_have_followers(g, st)).tolist()
+            partial = {x: partial[x] for x in todo if x in partial}
             fresh = (
-                _eval_followers_spark(spark, g, st, partial, stale)
-                if len(stale) >= spark_threshold
-                else _eval_followers_local(g, st, partial, stale)
+                _eval_followers_spark(spark, g, st, partial, todo)
+                if len(todo) >= spark_threshold
+                else _eval_followers_local(g, st, partial, todo)
             )
             levels_recomputed = sum(len(fr.levels) for fr in fresh.values()) - sum(
                 len(fr.levels) for fr in partial.values()
             )
             cache.update(fresh)
             partial = {}
-            gains = {e: cache[e].gain for e in cand}
-            evaluated, reused = len(stale), len(cand) - len(stale)
+            gains[list(cache)] = [fr.gain for fr in cache.values()]
+            evaluated, reused = len(todo), len(cache) - len(todo)
+            pruned = int(stale.sum()) - evaluated
 
-        best, gain = _pick_best(gains)
+        best = int(np.argmax(gains))  # the first maximum: smallest edge id on ties
+        gain = int(gains[best])
         anchors.add(best)
         prev = st
         st = decompose(g, frozenset(anchors))
@@ -255,6 +270,7 @@ def run_greedy(
                 gain=gain,
                 evaluated=evaluated,
                 reused=reused,
+                pruned=pruned,
                 levels_recomputed=levels_recomputed,
                 changed=len(changed),
                 invalidated=invalidated,

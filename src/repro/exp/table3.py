@@ -19,7 +19,7 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.baselines.random_sets import random_baseline, top_frac_pool
-from repro.core.greedy import run_greedy
+from repro.core.greedy import GreedyResult, run_greedy
 from repro.core.routes import route_sizes_spark
 from repro.truss.local import LocalGraph, decompose
 from repro.exp.datasets import NAMES, load
@@ -65,16 +65,23 @@ def run_dataset(
     t0 = time.perf_counter()
     bp = run_greedy(spark, g, b, "base+")
     row["time_base+"] = time.perf_counter() - t0
-    assert bp.total_gain == gas.total_gain, (name, bp.total_gain, gas.total_gain)
+    _assert_same_run(name, gas, bp)
 
     if with_base:
         t0 = time.perf_counter()
         ba = run_greedy(spark, g, b, "base")
         row["time_base"] = time.perf_counter() - t0
-        assert ba.total_gain == gas.total_gain
+        _assert_same_run(name, gas, ba)
     else:
         row["time_base"] = None
     return row
+
+
+def _assert_same_run(name: str, ref: GreedyResult, other: GreedyResult) -> None:
+    """Exactness contract: the same anchors, per-round gains and total."""
+    got = (other.anchors, [r.gain for r in other.rounds], other.total_gain)
+    want = (ref.anchors, [r.gain for r in ref.rounds], ref.total_gain)
+    assert got == want, (name, other.method, got, want)
 
 
 def run_table3(

@@ -5,12 +5,14 @@ follower set — upward-route pruning plus the support-check fixpoint
 must lose nothing and invent nothing.
 """
 import pytest
+from hypothesis import given
 
-from repro.core.followers import get_followers, upward_candidates
+from repro.core.followers import get_followers, may_have_followers, upward_candidates
 from repro.graphs.gen import community_graph, random_graph
 from repro.graphs.toys import truss_ladder, two_triangles
 from repro.truss.local import INF_T, LocalGraph, decompose, trussness_gain
 from repro.truss.reference import followers_naive
+from tests.test_decompose_local import graph_and_anchor_set
 
 
 def _graphs():
@@ -129,3 +131,16 @@ def test_followers_read_only_finite_trussness():
     for x in range(g.m):
         for f in get_followers(g, st, x).followers:
             assert int(st.t[f]) < INF_T
+
+
+@given(graph_and_anchor_set())
+def test_zero_gain_prune_is_exact(case):
+    """Every non-anchored candidate the zero-gain test rejects has no
+    follower under the anchor set; anchored edges never pass."""
+    g, anchors = case
+    st = decompose(g, anchors)
+    ok = may_have_followers(g, st)
+    assert not ok[list(anchors)].any()
+    for x in set(range(g.m)) - anchors:
+        if not ok[x]:
+            assert get_followers(g, st, x).gain == 0, x

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from repro.core.followers import get_followers
+from repro.core.followers import get_followers, may_have_followers
 from repro.core.greedy import _eval_followers_local, _invalidate, run_greedy
+from repro.exp.datasets import load
 from repro.graphs.gen import community_graph, random_graph
 from repro.graphs.toys import truss_ladder
 from repro.truss.local import LocalGraph, decompose
@@ -47,37 +48,62 @@ def test_round_gains_sum_to_total(label, pdf):
 
 
 def test_gas_reuses_cache():
+    """Every result GAS caches passed the zero-gain test, so it lies
+    near the high-gain region and the first anchorings hit it; on this
+    graph a complete cached result is first reused in round 4."""
     g = LocalGraph(
         community_graph(n=60, n_cliques=25, clique_max=8, n_noise=20, drop_frac=0.1, seed=2)
     )
-    r = run_greedy(None, g, 3, "gas", spark_threshold=LOCAL)
+    r = run_greedy(None, g, 5, "gas", spark_threshold=LOCAL)
     assert r.rounds[0].reused == 0
     assert any(rd.reused > 0 for rd in r.rounds[1:])
 
 
 def test_round_stats_count_reuse():
-    """Per-round counts: every candidate is evaluated or reused, the
-    anchor is among the changed edges and its own entry is dropped
-    whole, every cached entry is then kept whole (FR), kept in part (PR)
-    or dropped (NR), and GAS recomputes fewer levels than BASE+ after
-    round 1."""
+    """Per-round counts: every candidate is evaluated, reused or pruned,
+    the two methods prune the same candidates in round 1, the anchor is
+    among the changed edges and its own entry is dropped whole, every
+    cached entry is then kept whole (FR), kept in part (PR) or dropped
+    (NR), the candidates without a complete result next round are the
+    NR and PR entries (less the anchor) and this round's pruned ones,
+    and GAS recomputes fewer levels than BASE+ after round 1."""
     g = LocalGraph(
         community_graph(n=60, n_cliques=25, clique_max=8, n_noise=20, drop_frac=0.1, seed=2)
     )
     gas = run_greedy(None, g, 4, "gas", spark_threshold=LOCAL)
     bp = run_greedy(None, g, 4, "base+", spark_threshold=LOCAL)
     for r, (rg, rp) in enumerate(zip(gas.rounds, bp.rounds)):
-        assert rg.evaluated + rg.reused == rp.evaluated == g.m - r
+        assert rg.evaluated + rg.reused + rg.pruned == rp.evaluated + rp.pruned == g.m - r
+        assert rp.reused == 0
         assert rg.changed == rp.changed >= 1
         assert rg.invalidated >= 1 and rp.invalidated == 0
         assert rp.partial == 0
     for rd, nxt in zip(gas.rounds, gas.rounds[1:]):
         assert rd.invalidated + rd.partial + nxt.reused == rd.evaluated + rd.reused
-        assert nxt.evaluated == rd.invalidated + rd.partial - 1
+        assert nxt.evaluated + nxt.pruned == rd.invalidated + rd.partial - 1 + rd.pruned
+    assert gas.rounds[0].pruned == bp.rounds[0].pruned > 0
     assert gas.rounds[0].levels_recomputed == bp.rounds[0].levels_recomputed > 0
     assert sum(r.levels_recomputed for r in gas.rounds[1:]) < sum(
         r.levels_recomputed for r in bp.rounds[1:]
     )
+
+
+def test_pruned_candidates_have_no_followers_on_college():
+    """Replays GAS ``b=10`` on college: in each round's state every
+    candidate the zero-gain test rejects has gain 0, and BASE+ prunes
+    exactly those candidates."""
+    g = load("college")
+    gas = run_greedy(None, g, 10, "gas", spark_threshold=LOCAL)
+    bp = run_greedy(None, g, 10, "base+", spark_threshold=LOCAL)
+    assert gas.anchors == bp.anchors
+    anchors: set[int] = set()
+    for rd in bp.rounds:
+        st = decompose(g, frozenset(anchors))
+        rejected = np.flatnonzero(~may_have_followers(g, st)).tolist()
+        rejected = [x for x in rejected if x not in anchors]
+        assert rd.pruned == len(rejected)
+        assert all(get_followers(g, st, x).gain == 0 for x in rejected)
+        anchors.add(rd.best)
 
 
 def test_anchors_are_distinct_and_valid():
@@ -123,7 +149,7 @@ def test_gas_spark_path_matches_local(spark):
     assert local.total_gain == dist.total_gain
 
     def counts(res):
-        return [(r.evaluated, r.reused, r.invalidated, r.partial) for r in res.rounds]
+        return [(r.evaluated, r.reused, r.pruned, r.invalidated, r.partial) for r in res.rounds]
 
     assert counts(local) == counts(dist)
 
@@ -193,9 +219,16 @@ def test_reuse_rule_keeps_only_exact_levels(case):
 
 @given(graph_and_anchors())
 def test_gas_matches_base_plus_on_random_graphs(case):
+    """GAS, BASE+ and BASE pick the same anchors with the same per-round
+    gains. BASE+ and GAS share the zero-gain test; BASE, a full
+    re-decomposition per candidate, does not, so it would catch a
+    positive-gain candidate the test wrongly prunes."""
     g, seq = case
     gas = run_greedy(None, g, len(seq), "gas", spark_threshold=LOCAL)
     bp = run_greedy(None, g, len(seq), "base+", spark_threshold=LOCAL)
-    assert gas.anchors == bp.anchors
-    assert [r.gain for r in gas.rounds] == [r.gain for r in bp.rounds]
-    assert gas.total_gain == bp.total_gain
+    base = run_greedy(None, g, len(seq), "base", spark_threshold=LOCAL)
+    assert gas.anchors == bp.anchors == base.anchors
+    assert [r.gain for r in gas.rounds] == [r.gain for r in bp.rounds] == [
+        r.gain for r in base.rounds
+    ]
+    assert gas.total_gain == bp.total_gain == base.total_gain
