@@ -1,7 +1,8 @@
 """Shared SparkSession builder for spark-submit entrypoints.
 
-Mirrors the conftest fixture's settings so job runs and test runs
-exercise the same execution configuration.
+The test suite's ``spark`` fixture (``conftest.py``) builds its session
+with this function too, so job runs and test runs exercise the same
+execution configuration.
 """
 from __future__ import annotations
 

@@ -30,6 +30,11 @@ from repro.core.greedy import check_budget
 from repro.fanout import fan_out
 from repro.truss.local import LocalGraph, TrussState, decompose
 
+#: Vertices scored per round, those on the most ``(k-1)``-trussness edges (frontier-degree pruning).
+CAND_CAP = 40
+#: Spark from here: a vertex decomposes the whole ``t >= k-1`` subgraph (~5 ms on facebook).
+SPARK_MIN_VERTICES = 24
+
 
 def _level_subgraph(g: LocalGraph, st: TrussState, k: int) -> tuple[LocalGraph, np.ndarray]:
     """The subgraph of edges with ``t(e) >= k-1`` and, per edge of it,
@@ -85,24 +90,17 @@ def akt_greedy(
     st: TrussState,
     k: int,
     b: int,
-    spark_threshold: int = 24,
-    cand_cap: int = 40,
 ) -> tuple[int, list[int]]:
     """Greedy ``b`` anchor vertices for level ``k``.
 
     Selection maximises AKT's own objective; the returned gain is the
     ATR-measured (cascade-only) trussness gain of the selected set.
     Returns ``(measured_gain, vertices)``.
-
-    ``cand_cap`` bounds the per-round candidate pool to the vertices
-    incident to the most ``(k-1)``-trussness edges — the standard
-    frontier-degree pruning; vertices touching few frontier edges
-    cannot retain many of them.
     """
     b = check_budget(b, g.n)
     sub, frontier = _level_subgraph(g, st, k)
     verts, incid = np.unique(sub.edges[frontier], return_counts=True)
-    cand_vertices = verts[np.lexsort((verts, -incid))][: max(cand_cap, b)].tolist()
+    cand_vertices = verts[np.lexsort((verts, -incid))][: max(CAND_CAP, b)].tolist()
     anchored: set[int] = set()
     for _ in range(b):
         cands = [v for v in cand_vertices if v not in anchored]
@@ -112,7 +110,7 @@ def akt_greedy(
         def objective_of(v: int) -> int:
             return _counts(sub, frontier, k, frozenset(anchored | {v}))[0]
 
-        scored = dict(zip(cands, fan_out(spark, objective_of, cands, spark_threshold)))
+        scored = dict(zip(cands, fan_out(spark, objective_of, cands, SPARK_MIN_VERTICES)))
         v_best = min(scored, key=lambda v: (-scored[v], v))
         anchored.add(v_best)
     gain = _counts(sub, frontier, k, frozenset(anchored))[1]

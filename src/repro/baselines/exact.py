@@ -15,13 +15,15 @@ from repro.core.greedy import check_budget
 from repro.fanout import fan_out
 from repro.truss.local import LocalGraph, TrussState, trussness_gain
 
+#: Spark from here: each combination decomposes a graph of at most a few hundred edges (~0.7 ms).
+SPARK_MIN_COMBOS = 256
+
 
 def exact_best(
     spark: SparkSession | None,
     g: LocalGraph,
     st: TrussState,
     b: int,
-    spark_threshold: int = 256,
 ) -> tuple[int, list[int]]:
     """Optimal ``b``-edge anchor set by brute force.
 
@@ -30,6 +32,6 @@ def exact_best(
     """
     combos = list(combinations(range(g.m), check_budget(b, g.m)))
     gains = fan_out(
-        spark, functools.partial(trussness_gain, g, st), map(frozenset, combos), spark_threshold
+        spark, functools.partial(trussness_gain, g, st), map(frozenset, combos), SPARK_MIN_COMBOS
     )
     return max(zip(gains, map(list, combos)), key=lambda t: (t[0], [-x for x in t[1]]))

@@ -22,6 +22,9 @@ from repro.core.greedy import check_budget
 from repro.fanout import fan_out
 from repro.truss.local import LocalGraph, TrussState, trussness_gain
 
+#: Spark from here: 64 trials (one decomposition each, ~7 ms on facebook) cost about one Spark call.
+SPARK_MIN_TRIALS = 64
+
 
 def top_frac_pool(scores: np.ndarray, frac: float = 0.2) -> np.ndarray:
     """Edge ids of the top ``frac`` fraction by score (at least 1 edge)."""
@@ -38,7 +41,6 @@ def random_baseline(
     pool: np.ndarray,
     trials: int,
     seed: int = 0,
-    spark_threshold: int = 64,
 ) -> tuple[int, list[int]]:
     """Best trussness gain over ``trials`` random ``b``-subsets of ``pool``.
 
@@ -57,4 +59,4 @@ def random_baseline(
         return trussness_gain(g, st, ids), ids
 
     # max keeps the first of equal gains: the smallest trial index.
-    return max(fan_out(spark, run_trial, range(trials), spark_threshold), key=lambda r: r[0])
+    return max(fan_out(spark, run_trial, range(trials), SPARK_MIN_TRIALS), key=lambda r: r[0])

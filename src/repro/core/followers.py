@@ -7,7 +7,7 @@ with the paper's two pruning ideas:
 
 1. **Upward-route candidates** (Lemma 2): only edges reachable from
    ``x``'s neighbour-edges along same-trussness, deletion-order-
-   increasing routes can be followers. :func:`upward_candidates`
+   increasing routes can be followers. :func:`_route_level`
    enumerates them per trussness level.
 2. **Support check**: within each level ``i``, a candidate survives iff
    it keeps ``>= i-1`` *effective triangles* — triangles whose partner
@@ -153,20 +153,6 @@ def _route_level(
                     level.add(p)
                     queue.append(p)
     return level
-
-
-def upward_candidates(
-    g: LocalGraph, st: TrussState, x: int
-) -> tuple[dict[int, set[int]], set[int]]:
-    """Upward-route candidate followers of ``x``, grouped by trussness.
-
-    Returns the per-level candidate sets and the read-set of consulted
-    edges.
-    """
-    roots, root_reads = _roots(g, st, x)
-    reads = set(root_reads)
-    cands = {i: _route_level(g, st, x, i, rs, reads) for i, rs in roots.items()}
-    return cands, reads
 
 
 def _peel_level(

@@ -61,8 +61,8 @@ partially reusable (PR, ``partial``) or not reusable (NR,
 BASE and BASE+ keep nothing: 0 / 0 / 0.
 
 Candidate evaluation is the hot loop and is *embarrassingly parallel
-across candidates*, so from ``spark_threshold`` candidates to evaluate
-on (counted after the zero-gain test) it fans out over Spark
+across candidates*, so from :data:`SPARK_MIN_CANDIDATES` candidates to
+evaluate (counted after the zero-gain test) it fans out over Spark
 (:func:`repro.fanout.fan_out`) with the (small) graph and decomposition
 state in the task closure. Below that the driver evaluates directly —
 task overhead would dominate.
@@ -83,8 +83,11 @@ from repro.core.followers import (
     may_have_followers,
     root_verdict,
 )
-from repro.fanout import fan_out
+from repro.fanout import fan_out, runs_on_spark
 from repro.truss.local import LocalGraph, TrussState, decompose, trussness_gain
+
+#: Spark from here: 512 follower searches (~0.8 ms each on facebook) cost a Spark call (~0.5 s warm).
+SPARK_MIN_CANDIDATES = 512
 
 
 @dataclass
@@ -203,14 +206,13 @@ def run_greedy(
     g: LocalGraph,
     b: int,
     method: str = "gas",
-    spark_threshold: int = 512,
 ) -> GreedyResult:
     """Run ``b`` rounds of greedy anchoring with the given method.
 
     ``method`` in ``{"base", "base+", "gas"}``. Evaluation fans out to
     Spark when the candidates to evaluate (for BASE+ and GAS, those
-    that pass the zero-gain test) number ``spark_threshold`` or more;
-    pass 0 to force the distributed path (tests do).
+    that pass the zero-gain test) number :data:`SPARK_MIN_CANDIDATES`
+    or more.
     """
     if method not in {"base", "base+", "gas"}:
         raise ValueError(f"unknown method {method!r}")
@@ -231,7 +233,7 @@ def run_greedy(
         if method == "base":
             cand = np.flatnonzero(free).tolist()
             gain_of = functools.partial(trussness_gain, g, st)
-            gains[cand] = fan_out(spark, gain_of, [{e} for e in cand], spark_threshold)
+            gains[cand] = fan_out(spark, gain_of, [{e} for e in cand], SPARK_MIN_CANDIDATES)
             evaluated, reused = len(cand), 0
         else:
             if method == "base+":
@@ -242,7 +244,7 @@ def run_greedy(
             partial = {x: partial[x] for x in todo if x in partial}
             fresh = (
                 _eval_followers_spark(spark, g, st, partial, todo)
-                if len(todo) >= spark_threshold
+                if runs_on_spark(spark, len(todo), SPARK_MIN_CANDIDATES)
                 else _eval_followers_local(g, st, partial, todo)
             )
             levels_recomputed = sum(len(fr.levels) for fr in fresh.values()) - sum(

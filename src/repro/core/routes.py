@@ -13,15 +13,15 @@ import functools
 import numpy as np
 from pyspark.sql import SparkSession
 
-from repro.core.followers import upward_candidates
+from repro.core.followers import _roots, _route_level
 from repro.fanout import fan_out
 from repro.truss.local import LocalGraph, TrussState
 
 
 def route_size(g: LocalGraph, st: TrussState, x: int) -> int:
     """Number of upward-route candidates of edge ``x``."""
-    cands, _reads = upward_candidates(g, st, x)
-    return sum(len(c) for c in cands.values())
+    roots, _reads = _roots(g, st, x)
+    return sum(len(_route_level(g, st, x, i, rs, set())) for i, rs in roots.items())
 
 
 def route_sizes_spark(spark: SparkSession, g: LocalGraph, st: TrussState) -> np.ndarray:

@@ -103,7 +103,9 @@ MICRO: dict[str, dict] = {
 
 def edge_frame(name: str) -> pd.DataFrame:
     """Canonical edge frame of a named dataset (full or micro)."""
-    params = DATASETS.get(name) or MICRO[name]
+    params = DATASETS.get(name) or MICRO.get(name)
+    if params is None:
+        raise ValueError(f"unknown dataset {name!r}; known: {', '.join([*DATASETS, *MICRO])}")
     return community_graph(**params)
 
 

@@ -16,20 +16,25 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 
+def runs_on_spark(spark: SparkSession | None, n: int, threshold: int) -> bool:
+    """Whether :func:`fan_out` runs ``n`` items as one Spark job."""
+    return spark is not None and n >= max(threshold, 1)
+
+
 def fan_out(
     spark: SparkSession | None, fn: Callable, items: Iterable, threshold: int = 0
 ) -> list:
     """``[fn(x) for x in items]``, in input order.
 
-    Runs on the driver when ``spark`` is None or there are fewer than
-    ``threshold`` items (or none), else as one Spark job over the
+    Runs on the driver unless :func:`runs_on_spark` (``threshold`` is
+    the caller's module constant), else as one Spark job over the
     positions ``0..n-1`` in ``min(2 * defaultParallelism, n)``
     partitions. Each result returns pickled and is placed by position,
     so the outcome does not depend on partitioning or row order.
     """
     items = list(items)
     n = len(items)
-    if spark is None or n < max(threshold, 1):
+    if not runs_on_spark(spark, n, threshold):
         return [fn(x) for x in items]
     parts = min(2 * spark.sparkContext.defaultParallelism, n)
     pos = spark.createDataFrame(pd.DataFrame({"i": range(n)})).repartition(parts)

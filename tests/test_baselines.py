@@ -56,14 +56,15 @@ def test_random_baseline_more_trials_no_worse(graph):
     assert g30 >= g5  # trials are a prefix-extension with the same seeds
 
 
-def test_random_spark_matches_serial(spark, graph):
+def test_random_spark_matches_serial(spark, spark_jobs, graph):
     g, st = graph
     serial = random_baseline(None, g, st, 3, np.arange(g.m), trials=12, seed=3)
-    dist = random_baseline(spark, g, st, 3, np.arange(g.m), trials=12, seed=3, spark_threshold=0)
+    dist = random_baseline(spark, g, st, 3, np.arange(g.m), trials=12, seed=3)
+    assert spark_jobs()
     assert serial == dist
 
 
-def test_random_spark_ties_go_to_smallest_trial(spark):
+def test_random_spark_ties_go_to_smallest_trial(spark, spark_jobs):
     """On a triangle-free graph every trial gains 0, so all trials tie and
     both paths must return trial 0's anchor set, whatever order Spark
     returns the trials in."""
@@ -71,7 +72,8 @@ def test_random_spark_ties_go_to_smallest_trial(spark):
     g = LocalGraph(pd.DataFrame({"src": range(n), "dst": [(v + 1) % n for v in range(n)]}))
     st = decompose(g)
     serial = random_baseline(None, g, st, 3, np.arange(g.m), trials=64, seed=4)
-    dist = random_baseline(spark, g, st, 3, np.arange(g.m), trials=64, seed=4, spark_threshold=0)
+    dist = random_baseline(spark, g, st, 3, np.arange(g.m), trials=64, seed=4)
+    assert spark_jobs()
     assert serial == random_baseline(None, g, st, 3, np.arange(g.m), trials=1, seed=4)
     assert serial[0] == 0
     assert dist == serial
@@ -80,7 +82,7 @@ def test_random_spark_ties_go_to_smallest_trial(spark):
 def test_greedy_beats_random_baselines(graph):
     """The paper's headline effectiveness claim, at micro scale."""
     g, st = graph
-    gas = run_greedy(None, g, 5, "gas", spark_threshold=10**9)
+    gas = run_greedy(None, g, 5, "gas")
     for seed in (1, 2, 3):
         gain, _ = random_baseline(None, g, st, 5, np.arange(g.m), trials=30, seed=seed)
         assert gas.total_gain >= gain
@@ -191,17 +193,18 @@ def test_akt_avg_below_gas(graph):
     budget (the paper's avg_gain row; at micro scale the best single k
     can occasionally edge out GAS, see DESIGN.md)."""
     g, st = graph
-    gas = run_greedy(None, g, 3, "gas", spark_threshold=10**9)
+    gas = run_greedy(None, g, 3, "gas")
     sweep = akt_sweep(None, g, st, b=3)
     avg = sum(sweep.values()) / len(sweep)
     if gas.total_gain > 0:
         assert avg < gas.total_gain
 
 
-def test_akt_spark_matches_serial(spark, graph):
+def test_akt_spark_matches_serial(spark, spark_jobs, graph):
     g, st = graph
     serial = akt_greedy(None, g, st, k=4, b=2)
-    dist = akt_greedy(spark, g, st, k=4, b=2, spark_threshold=0)
+    dist = akt_greedy(spark, g, st, k=4, b=2)
+    assert spark_jobs()
     assert serial == dist
 
 

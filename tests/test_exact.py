@@ -38,7 +38,7 @@ def test_greedy_b1_is_optimal(label, pdf):
     g = LocalGraph(pdf)
     st = decompose(g)
     exact_gain, _ = exact_best(None, g, st, 1)
-    greedy = run_greedy(None, g, 1, "gas", spark_threshold=10**9)
+    greedy = run_greedy(None, g, 1, "gas")
     assert greedy.total_gain == exact_gain
 
 
@@ -50,17 +50,18 @@ def test_greedy_b2_within_exact(label_pdf=CASES[1]):
     g = LocalGraph(pdf)
     st = decompose(g)
     exact_gain, _ = exact_best(None, g, st, 2)
-    greedy = run_greedy(None, g, 2, "gas", spark_threshold=10**9)
+    greedy = run_greedy(None, g, 2, "gas")
     assert greedy.total_gain <= exact_gain
     if exact_gain > 0:
         assert greedy.total_gain >= 0.5 * exact_gain
 
 
-def test_exact_spark_matches_serial(spark):
+def test_exact_spark_matches_serial(spark, spark_jobs):
     g = LocalGraph(truss_ladder())
     st = decompose(g)
     serial = exact_best(None, g, st, 2)
-    dist = exact_best(spark, g, st, 2, spark_threshold=0)
+    dist = exact_best(spark, g, st, 2)
+    assert spark_jobs()
     assert serial == dist
 
 

@@ -7,7 +7,7 @@ must lose nothing and invent nothing.
 import pytest
 from hypothesis import given
 
-from repro.core.followers import get_followers, may_have_followers, upward_candidates
+from repro.core.followers import get_followers, may_have_followers
 from repro.graphs.gen import community_graph, random_graph
 from repro.graphs.toys import truss_ladder, two_triangles
 from repro.truss.local import INF_T, LocalGraph, decompose, trussness_gain
@@ -108,9 +108,8 @@ def test_candidates_grouped_by_level():
     g = LocalGraph(truss_ladder())
     st = decompose(g)
     for x in range(g.m):
-        cands, _ = upward_candidates(g, st, x)
-        for level, edges in cands.items():
-            for e in edges:
+        for level, lv in get_followers(g, st, x).levels.items():
+            for e in lv.candidates:
                 assert int(st.t[e]) == level
 
 

@@ -73,6 +73,15 @@ def test_micro_datasets_load(name):
     assert st.kmax >= 4
 
 
+@pytest.mark.parametrize("name", ["nope", ""], ids=["nope", "empty"])
+def test_unknown_dataset_raises(name):
+    """An unknown name (``--names college,`` leaves an empty one) gets a
+    ``ValueError`` that lists the known datasets."""
+    for build in (edge_frame, load):
+        with pytest.raises(ValueError, match="unknown dataset.*college.*college_mini"):
+            build(name)
+
+
 @pytest.mark.parametrize("name", NAMES)
 def test_edge_frames_deterministic(name):
     a = edge_frame(name)

@@ -12,8 +12,6 @@ from repro.graphs.gen import community_graph, random_graph
 from repro.graphs.toys import truss_ladder
 from repro.truss.local import LocalGraph, decompose
 
-LOCAL = 10**9  # spark_threshold that forces driver-side evaluation
-
 
 def _graphs():
     yield "ladder", truss_ladder()
@@ -33,9 +31,9 @@ CASES = list(_graphs())
 @pytest.mark.parametrize("label,pdf", CASES, ids=[c[0] for c in CASES])
 def test_methods_equivalent(label, pdf):
     g = LocalGraph(pdf)
-    rb = run_greedy(None, g, 3, "base", spark_threshold=LOCAL)
-    rp = run_greedy(None, g, 3, "base+", spark_threshold=LOCAL)
-    rg = run_greedy(None, g, 3, "gas", spark_threshold=LOCAL)
+    rb = run_greedy(None, g, 3, "base")
+    rp = run_greedy(None, g, 3, "base+")
+    rg = run_greedy(None, g, 3, "gas")
     assert rb.anchors == rp.anchors == rg.anchors, label
     assert rb.total_gain == rp.total_gain == rg.total_gain
 
@@ -43,7 +41,7 @@ def test_methods_equivalent(label, pdf):
 @pytest.mark.parametrize("label,pdf", CASES[:3], ids=[c[0] for c in CASES[:3]])
 def test_round_gains_sum_to_total(label, pdf):
     g = LocalGraph(pdf)
-    r = run_greedy(None, g, 4, "gas", spark_threshold=LOCAL)
+    r = run_greedy(None, g, 4, "gas")
     assert sum(rd.gain for rd in r.rounds) == r.total_gain
 
 
@@ -54,7 +52,7 @@ def test_gas_reuses_cache():
     g = LocalGraph(
         community_graph(n=60, n_cliques=25, clique_max=8, n_noise=20, drop_frac=0.1, seed=2)
     )
-    r = run_greedy(None, g, 5, "gas", spark_threshold=LOCAL)
+    r = run_greedy(None, g, 5, "gas")
     assert r.rounds[0].reused == 0
     assert any(rd.reused > 0 for rd in r.rounds[1:])
 
@@ -70,8 +68,8 @@ def test_round_stats_count_reuse():
     g = LocalGraph(
         community_graph(n=60, n_cliques=25, clique_max=8, n_noise=20, drop_frac=0.1, seed=2)
     )
-    gas = run_greedy(None, g, 4, "gas", spark_threshold=LOCAL)
-    bp = run_greedy(None, g, 4, "base+", spark_threshold=LOCAL)
+    gas = run_greedy(None, g, 4, "gas")
+    bp = run_greedy(None, g, 4, "base+")
     for r, (rg, rp) in enumerate(zip(gas.rounds, bp.rounds)):
         assert rg.evaluated + rg.reused + rg.pruned == rp.evaluated + rp.pruned == g.m - r
         assert rp.reused == 0
@@ -93,8 +91,8 @@ def test_pruned_candidates_have_no_followers_on_college():
     candidate the zero-gain test rejects has gain 0, and BASE+ prunes
     exactly those candidates."""
     g = load("college")
-    gas = run_greedy(None, g, 10, "gas", spark_threshold=LOCAL)
-    bp = run_greedy(None, g, 10, "base+", spark_threshold=LOCAL)
+    gas = run_greedy(None, g, 10, "gas")
+    bp = run_greedy(None, g, 10, "base+")
     assert gas.anchors == bp.anchors
     anchors: set[int] = set()
     for rd in bp.rounds:
@@ -106,16 +104,46 @@ def test_pruned_candidates_have_no_followers_on_college():
         anchors.add(rd.best)
 
 
+def test_reuse_rule_keeps_only_exact_levels_on_college():
+    """Replays GAS ``b=10`` on college: after each anchoring, every entry
+    the reuse rule keeps whole equals a fresh computation, and so does
+    every level it keeps of an entry dropped in part."""
+    g = load("college")
+    gas = run_greedy(None, g, 10, "gas")
+    st = decompose(g)
+    cache: dict = {}
+    partial: dict = {}
+    anchors: set[int] = set()
+    entries = levels = 0
+    for rd in gas.rounds:
+        todo = [x for x in np.flatnonzero(may_have_followers(g, st)).tolist() if x not in cache]
+        assert len(todo) == rd.evaluated
+        cache.update(_eval_followers_local(g, st, partial, todo))
+        assert cache[rd.best].gain == rd.gain
+        anchors.add(rd.best)
+        prev, st = st, decompose(g, frozenset(anchors))
+        changed = np.flatnonzero((st.t != prev.t) | (st.layer != prev.layer))
+        _, partial = _invalidate(g, cache, prev, st, changed)
+        for x, fr in cache.items():
+            assert fr == get_followers(g, st, x)
+        for x, fr in partial.items():
+            fresh = get_followers(g, st, x).levels
+            assert all(fresh[i] == lv for i, lv in fr.levels.items())
+        entries += len(cache)
+        levels += sum(len(fr.levels) for fr in partial.values())
+    assert entries > 0 and levels > 0
+
+
 def test_anchors_are_distinct_and_valid():
     g = LocalGraph(truss_ladder())
-    r = run_greedy(None, g, 5, "gas", spark_threshold=LOCAL)
+    r = run_greedy(None, g, 5, "gas")
     assert len(set(r.anchors)) == len(r.anchors)
     assert all(0 <= a < g.m for a in r.anchors)
 
 
 def test_budget_capped_by_edge_count():
     g = LocalGraph(truss_ladder())
-    r = run_greedy(None, g, g.m + 10, "base+", spark_threshold=LOCAL)
+    r = run_greedy(None, g, g.m + 10, "base+")
     assert len(r.anchors) <= g.m
 
 
@@ -123,11 +151,11 @@ def test_budget_capped_by_edge_count():
 def test_bad_budget_raises(b):
     g = LocalGraph(truss_ladder())
     with pytest.raises(ValueError, match="budget b must be a non-negative integer"):
-        run_greedy(None, g, b, "gas", spark_threshold=LOCAL)
+        run_greedy(None, g, b, "gas")
 
 
 def test_zero_budget_anchors_nothing():
-    r = run_greedy(None, LocalGraph(truss_ladder()), 0, "gas", spark_threshold=LOCAL)
+    r = run_greedy(None, LocalGraph(truss_ladder()), 0, "gas")
     assert r.anchors == [] and r.total_gain == 0
 
 
@@ -139,12 +167,13 @@ def test_unknown_method_raises():
 
 # ---- distributed paths -------------------------------------------------
 
-def test_gas_spark_path_matches_local(spark):
+def test_gas_spark_path_matches_local(spark, spark_jobs):
     g = LocalGraph(
         community_graph(n=50, n_cliques=18, n_noise=15, drop_frac=0.1, seed=6)
     )
-    local = run_greedy(None, g, 2, "gas", spark_threshold=LOCAL)
-    dist = run_greedy(spark, g, 2, "gas", spark_threshold=0)
+    local = run_greedy(None, g, 2, "gas")
+    dist = run_greedy(spark, g, 2, "gas")
+    assert spark_jobs()
     assert local.anchors == dist.anchors
     assert local.total_gain == dist.total_gain
 
@@ -154,22 +183,26 @@ def test_gas_spark_path_matches_local(spark):
     assert counts(local) == counts(dist)
 
 
-def test_base_spark_path_matches_local(spark):
+def test_base_spark_path_matches_local(spark, spark_jobs):
     g = LocalGraph(
         community_graph(n=35, n_cliques=12, n_noise=8, drop_frac=0.1, seed=7)
     )
-    local = run_greedy(None, g, 2, "base", spark_threshold=LOCAL)
-    dist = run_greedy(spark, g, 2, "base", spark_threshold=0)
+    local = run_greedy(None, g, 2, "base")
+    dist = run_greedy(spark, g, 2, "base")
+    assert spark_jobs()
     assert local.anchors == dist.anchors
     assert local.total_gain == dist.total_gain
 
 
-def test_base_plus_spark_path_matches_local(spark):
+def test_base_plus_spark_path_matches_local(spark, spark_jobs):
+    """Both rounds have candidates that pass the zero-gain test (15, then
+    1), so both evaluate on Spark."""
     g = LocalGraph(
-        community_graph(n=40, n_cliques=15, n_noise=10, drop_frac=0.1, seed=8)
+        community_graph(n=40, n_cliques=15, n_noise=10, drop_frac=0.1, seed=7)
     )
-    local = run_greedy(None, g, 2, "base+", spark_threshold=LOCAL)
-    dist = run_greedy(spark, g, 2, "base+", spark_threshold=0)
+    local = run_greedy(None, g, 2, "base+")
+    dist = run_greedy(spark, g, 2, "base+")
+    assert spark_jobs()
     assert local.anchors == dist.anchors
     assert local.total_gain == dist.total_gain
 
@@ -224,9 +257,9 @@ def test_gas_matches_base_plus_on_random_graphs(case):
     re-decomposition per candidate, does not, so it would catch a
     positive-gain candidate the test wrongly prunes."""
     g, seq = case
-    gas = run_greedy(None, g, len(seq), "gas", spark_threshold=LOCAL)
-    bp = run_greedy(None, g, len(seq), "base+", spark_threshold=LOCAL)
-    base = run_greedy(None, g, len(seq), "base", spark_threshold=LOCAL)
+    gas = run_greedy(None, g, len(seq), "gas")
+    bp = run_greedy(None, g, len(seq), "base+")
+    base = run_greedy(None, g, len(seq), "base")
     assert gas.anchors == bp.anchors == base.anchors
     assert [r.gain for r in gas.rounds] == [r.gain for r in bp.rounds] == [
         r.gain for r in base.rounds

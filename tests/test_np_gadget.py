@@ -74,7 +74,7 @@ def test_claim_v_other_edges_gain_nothing(gadget):
 def test_greedy_solves_max_coverage(gadget):
     """Greedy ATR on the gadget = greedy max coverage (here optimal)."""
     g, st, a_e, _ = gadget
-    res = run_greedy(None, g, 2, "gas", spark_threshold=10**9)
+    res = run_greedy(None, g, 2, "gas")
     # greedy MC: pick T_1 (3 elements), then either other set adds 1.
     assert res.total_gain == 4
     assert g.edge(res.anchors[0]) == a_e[1]
@@ -83,5 +83,5 @@ def test_greedy_solves_max_coverage(gadget):
 def test_exact_matches_mc_optimum(gadget):
     g, st, _, _ = gadget
     # b=1: best single set covers 3 elements.
-    gain, _ = exact_best(None, g, st, 1, spark_threshold=10**12)
+    gain, _ = exact_best(None, g, st, 1)
     assert gain == 3

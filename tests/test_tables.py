@@ -76,4 +76,4 @@ def test_format_row_handles_missing_base():
             time_base=None, **{"time_base+": 1.0}, time_gas=2.0,
         )
     )
-    assert "BASE=        -s" in s or "-" in s
+    assert "BASE=        -s" in s
