@@ -18,9 +18,13 @@ reports and is the root of AKT's poor ratios there: AKT's greedy
 choice optimises coverage by protection, not global trussness.
 
 Candidate vertices are restricted to endpoints of ``(k-1)``-trussness
-edges (as in [2]); marginal gains fan out over Spark.
+edges (as in [2]). The levels of a sweep are independent, so they fan
+out over Spark, one greedy run each; the ``b`` rounds of a run are
+sequential and stay in one task.
 """
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import pandas as pd
@@ -32,8 +36,6 @@ from repro.truss.local import LocalGraph, TrussState, decompose
 
 #: Vertices scored per round, those on the most ``(k-1)``-trussness edges (frontier-degree pruning).
 CAND_CAP = 40
-#: Spark from here: a vertex decomposes the whole ``t >= k-1`` subgraph (~5 ms on facebook).
-SPARK_MIN_VERTICES = 24
 
 
 def _level_subgraph(g: LocalGraph, st: TrussState, k: int) -> tuple[LocalGraph, np.ndarray]:
@@ -77,20 +79,7 @@ def anchored_ktruss_counts(
     return _counts(*_level_subgraph(g, st, k), k, anchored_vertices)
 
 
-def anchored_ktruss_gain(
-    g: LocalGraph, st: TrussState, k: int, anchored_vertices: frozenset[int]
-) -> int:
-    """Measured (cascade-only) trussness gain of a vertex-anchor set."""
-    return anchored_ktruss_counts(g, st, k, anchored_vertices)[1]
-
-
-def akt_greedy(
-    spark: SparkSession | None,
-    g: LocalGraph,
-    st: TrussState,
-    k: int,
-    b: int,
-) -> tuple[int, list[int]]:
+def akt_greedy(g: LocalGraph, st: TrussState, k: int, b: int) -> tuple[int, list[int]]:
     """Greedy ``b`` anchor vertices for level ``k``.
 
     Selection maximises AKT's own objective; the returned gain is the
@@ -106,11 +95,7 @@ def akt_greedy(
         cands = [v for v in cand_vertices if v not in anchored]
         if not cands:
             break
-
-        def objective_of(v: int) -> int:
-            return _counts(sub, frontier, k, frozenset(anchored | {v}))[0]
-
-        scored = dict(zip(cands, fan_out(spark, objective_of, cands, SPARK_MIN_VERTICES)))
+        scored = {v: _counts(sub, frontier, k, frozenset(anchored | {v}))[0] for v in cands}
         v_best = min(scored, key=lambda v: (-scored[v], v))
         anchored.add(v_best)
     gain = _counts(sub, frontier, k, frozenset(anchored))[1]
@@ -124,6 +109,9 @@ def akt_sweep(
     b: int,
     k_values: list[int] | None = None,
 ) -> dict[int, int]:
-    """AKT measured gain for every ``k`` (default ``3..kmax+1``), Exp-9."""
+    """AKT measured gain for every ``k`` (default ``3..kmax+1``), Exp-9,
+    as one :func:`akt_greedy` run per level in one fan-out."""
+    check_budget(b, g.n)  # a bad budget raises here, not inside a Spark task
     ks = list(range(3, st.kmax + 2)) if k_values is None else k_values
-    return {k: akt_greedy(spark, g, st, k, b)[0] for k in ks}
+    runs = fan_out(spark, functools.partial(akt_greedy, g, st, b=b), ks)
+    return {k: gain for k, (gain, _) in zip(ks, runs)}

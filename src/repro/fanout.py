@@ -1,7 +1,7 @@
 """One Spark fan-out for every embarrassingly parallel step.
 
 Candidate evaluation (BASE, BASE+, GAS), random trials, exact
-combinations, AKT vertices and route sizes are all ``[fn(x) for x in
+combinations, AKT levels and route sizes are all ``[fn(x) for x in
 items]`` with an independent, local-kernel ``fn``. :func:`fan_out` runs
 that map on the driver or as one Spark job. ``fn`` and ``items`` ride
 in the task closure, so ``fn`` should reach the program through
@@ -28,7 +28,7 @@ def fan_out(
 
     Runs on the driver unless :func:`runs_on_spark` (``threshold`` is
     the caller's module constant), else as one Spark job over the
-    positions ``0..n-1`` in ``min(2 * defaultParallelism, n)``
+    positions ``spark.range(0, n)`` in ``min(2 * defaultParallelism, n)``
     partitions. Each result returns pickled and is placed by position,
     so the outcome does not depend on partitioning or row order.
     """
@@ -37,15 +37,14 @@ def fan_out(
     if not runs_on_spark(spark, n, threshold):
         return [fn(x) for x in items]
     parts = min(2 * spark.sparkContext.defaultParallelism, n)
-    pos = spark.createDataFrame(pd.DataFrame({"i": range(n)})).repartition(parts)
 
     def kernel(batches):
         for pdf in batches:
-            out = [pickle.dumps(fn(items[i])) for i in pdf["i"]]
-            yield pd.DataFrame({"i": pdf["i"], "out": out})
+            out = [pickle.dumps(fn(items[i])) for i in pdf["id"]]
+            yield pd.DataFrame({"id": pdf["id"], "out": out})
 
-    res = pos.mapInPandas(kernel, schema="i long, out binary").toPandas()
+    res = spark.range(0, n, 1, parts).mapInPandas(kernel, "id long, out binary").toPandas()
     out: list = [None] * n
-    for i, blob in zip(res["i"], res["out"]):
+    for i, blob in zip(res["id"], res["out"]):
         out[i] = pickle.loads(blob)
     return out

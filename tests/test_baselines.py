@@ -7,12 +7,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as hst
 
-from repro.baselines.akt import (
-    akt_greedy,
-    akt_sweep,
-    anchored_ktruss_counts,
-    anchored_ktruss_gain,
-)
+from repro.baselines.akt import akt_greedy, akt_sweep, anchored_ktruss_counts
 from repro.baselines.random_sets import random_baseline, top_frac_pool
 from repro.core.greedy import run_greedy
 from repro.graphs.gen import community_graph
@@ -94,7 +89,7 @@ def test_akt_no_anchor_gain_zero(graph):
     """Without anchors the k-truss retains no (k-1)-trussness edge."""
     g, st = graph
     for k in range(3, st.kmax + 1):
-        assert anchored_ktruss_gain(g, st, k, frozenset()) == 0
+        assert anchored_ktruss_counts(g, st, k, frozenset())[1] == 0
 
 
 def test_akt_objective_monotone_in_vertices(graph):
@@ -149,7 +144,7 @@ def test_akt_anchored_truss_supersets_plain(graph):
 
 def test_akt_greedy_and_sweep(graph):
     g, st = graph
-    gain, verts = akt_greedy(None, g, st, k=4, b=3)
+    gain, verts = akt_greedy(g, st, k=4, b=3)
     assert gain >= 0 and len(verts) <= 3
     sweep = akt_sweep(None, g, st, b=2, k_values=[3, 4])
     assert set(sweep) == {3, 4}
@@ -201,11 +196,15 @@ def test_akt_avg_below_gas(graph):
 
 
 def test_akt_spark_matches_serial(spark, spark_jobs, graph):
+    """The sweep over every level equals the driver's, and its Spark jobs
+    do not grow with the budget: the levels fan out, not the rounds."""
     g, st = graph
-    serial = akt_greedy(None, g, st, k=4, b=2)
-    dist = akt_greedy(spark, g, st, k=4, b=2)
-    assert spark_jobs()
-    assert serial == dist
+    jobs = []
+    for b in (1, 3):
+        before = len(spark_jobs())
+        assert akt_sweep(spark, g, st, b) == akt_sweep(None, g, st, b)
+        jobs.append(len(spark_jobs()) - before)
+    assert jobs[0] == jobs[1] > 0
 
 
 @pytest.mark.parametrize("b", [-1, True, 2.5])
@@ -223,7 +222,10 @@ def test_random_baseline_needs_a_trial(graph, trials):
 
 
 @pytest.mark.parametrize("b", [-1, True, 2.5])
-def test_akt_bad_budget_raises(graph, b):
+def test_akt_bad_budget_raises(spark, graph, b):
+    """A bad budget raises on the driver, before the sweep fans out."""
     g, st = graph
     with pytest.raises(ValueError, match="budget b must be a non-negative integer"):
-        akt_greedy(None, g, st, k=4, b=b)
+        akt_greedy(g, st, k=4, b=b)
+    with pytest.raises(ValueError, match="budget b must be a non-negative integer"):
+        akt_sweep(spark, g, st, b)
