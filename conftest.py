@@ -71,8 +71,8 @@ def spark() -> SparkSession:
     ``get_spark``, so tests and jobs run with the same configuration.
     """
     s = get_spark("repro")
-    # One line in test_output.txt that tells the driver whether the
-    # cgroup derivation saw the real limit (README § Spark target).
+    # One line on stderr that tells whether the cgroup derivation saw
+    # the real limit.
     print(
         f"[conftest] SPARK_DRIVER_MEM={os.environ['SPARK_DRIVER_MEM']} "
         f"(src={os.environ.get('_SPARK_DRIVER_MEM_SRC', 'env')}) "
