@@ -25,6 +25,7 @@ sequential and stay in one task.
 from __future__ import annotations
 
 import functools
+import numbers
 
 import numpy as np
 import pandas as pd
@@ -111,7 +112,10 @@ def akt_sweep(
 ) -> dict[int, int]:
     """AKT measured gain for every ``k`` (default ``3..kmax+1``), Exp-9,
     as one :func:`akt_greedy` run per level in one fan-out."""
-    check_budget(b, g.n)  # a bad budget raises here, not inside a Spark task
+    check_budget(b, g.n)  # bad input raises here, not inside a Spark task
     ks = list(range(3, st.kmax + 2)) if k_values is None else k_values
+    for k in ks:  # every edge has trussness >= 2, so below k = 3 a level keeps nothing
+        if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 3:
+            raise ValueError(f"level k must be an integer >= 3, got {k!r}")
     runs = fan_out(spark, functools.partial(akt_greedy, g, st, b=b), ks)
     return {k: gain for k, (gain, _) in zip(ks, runs)}

@@ -15,6 +15,8 @@ graph in the task closure).
 """
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 from pyspark.sql import SparkSession
 
@@ -51,8 +53,8 @@ def random_baseline(
     index, whatever order Spark returns the trials in.
     """
     b_eff = check_budget(b, len(pool))
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials!r}")
+    if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or trials < 1:
+        raise ValueError(f"trials must be a positive integer, got {trials!r}")
 
     def run_trial(i: int) -> tuple[int, list[int]]:
         rng = np.random.default_rng(seed * 1_000_000 + i)

@@ -60,12 +60,11 @@ partially reusable (PR, ``partial``) or not reusable (NR,
 ``evaluated[r+1] + pruned[r+1] == invalidated + partial - 1 + pruned``.
 BASE and BASE+ keep nothing: 0 / 0 / 0.
 
-Candidate evaluation is the hot loop and is *embarrassingly parallel
-across candidates*, so from :data:`SPARK_MIN_CANDIDATES` candidates to
-evaluate (counted after the zero-gain test) it fans out over Spark
-(:func:`repro.fanout.fan_out`) with the (small) graph and decomposition
-state in the task closure. Below that the driver evaluates directly —
-task overhead would dominate.
+BASE+ and GAS evaluate on the driver: after the zero-gain test a round
+has hundreds of follower searches, and at thousands (pokec's generator
+×10 and ×50) one Spark fan-out of them took 2–6× the driver's time.
+BASE's candidates, each a full decomposition, fan out over Spark
+(:func:`repro.fanout.fan_out`) from :data:`SPARK_MIN_CANDIDATES`.
 """
 from __future__ import annotations
 
@@ -83,10 +82,12 @@ from repro.core.followers import (
     may_have_followers,
     root_verdict,
 )
-from repro.fanout import fan_out, runs_on_spark
+from repro.fanout import fan_out
 from repro.truss.local import LocalGraph, TrussState, decompose, trussness_gain
 
-#: Spark from here: 512 follower searches (~0.8 ms each on facebook) cost a Spark call (~0.5 s warm).
+#: BASE fans out from here. A candidate costs 1.6 ms (college) to 4.5 ms (facebook) on the driver,
+#: a warm fan-out over facebook with ``(g, st)`` 0.16–0.20 s on 4 task threads, so Spark breaks even
+#: near 50–150; college's 1,520 take 0.67–0.90 s on Spark against the driver's 1.57–2.41 s.
 SPARK_MIN_CANDIDATES = 512
 
 
@@ -117,36 +118,25 @@ class GreedyResult:
     seconds: float
 
 
-def _complete(
-    g: LocalGraph, st: TrussState, partial: dict[int, FollowerResult], x: int
-) -> FollowerResult:
-    """Complete follower result of ``x``, computing only the levels that
-    ``partial`` does not hold for it."""
-    kept = partial[x].levels if x in partial else {}
-    fr = get_followers(g, st, x, kept)
-    return replace(fr, levels={**kept, **fr.levels}) if kept else fr
-
-
 def _eval_followers_local(
     g: LocalGraph,
     st: TrussState,
     partial: dict[int, FollowerResult],
     cand: list[int],
 ) -> dict[int, FollowerResult]:
-    """Complete follower results of ``cand``, evaluated on the driver."""
-    return {e: _complete(g, st, partial, e) for e in cand}
+    """Complete follower results of ``cand``, evaluated on the driver,
+    computing for each only the levels that ``partial`` does not hold
+    for it."""
+    out: dict[int, FollowerResult] = {}
+    for x in cand:
+        kept = partial[x].levels if x in partial else {}
+        fr = get_followers(g, st, x, kept)
+        out[x] = replace(fr, levels={**kept, **fr.levels}) if kept else fr
+    return out
 
 
-def _eval_followers_spark(
-    spark: SparkSession,
-    g: LocalGraph,
-    st: TrussState,
-    partial: dict[int, FollowerResult],
-    cand: list[int],
-) -> dict[int, FollowerResult]:
-    """:func:`_eval_followers_local` as one Spark fan-out."""
-    fresh = fan_out(spark, functools.partial(_complete, g, st, partial), cand)
-    return dict(zip(cand, fresh))
+# Kept only because atrbench/tracing.py looks this name up to wrap it; it goes with that wrapper.
+_eval_followers_spark = _eval_followers_local
 
 
 def _invalidate(
@@ -209,10 +199,10 @@ def run_greedy(
 ) -> GreedyResult:
     """Run ``b`` rounds of greedy anchoring with the given method.
 
-    ``method`` in ``{"base", "base+", "gas"}``. Evaluation fans out to
-    Spark when the candidates to evaluate (for BASE+ and GAS, those
-    that pass the zero-gain test) number :data:`SPARK_MIN_CANDIDATES`
-    or more.
+    ``method`` in ``{"base", "base+", "gas"}``. BASE's candidates fan
+    out to Spark when they number :data:`SPARK_MIN_CANDIDATES` or more;
+    BASE+ and GAS evaluate theirs on the driver, so they ignore
+    ``spark``.
     """
     if method not in {"base", "base+", "gas"}:
         raise ValueError(f"unknown method {method!r}")
@@ -242,11 +232,7 @@ def run_greedy(
             stale[list(cache)] = False
             todo = np.flatnonzero(stale & may_have_followers(g, st)).tolist()
             partial = {x: partial[x] for x in todo if x in partial}
-            fresh = (
-                _eval_followers_spark(spark, g, st, partial, todo)
-                if runs_on_spark(spark, len(todo), SPARK_MIN_CANDIDATES)
-                else _eval_followers_local(g, st, partial, todo)
-            )
+            fresh = _eval_followers_local(g, st, partial, todo)
             levels_recomputed = sum(len(fr.levels) for fr in fresh.values()) - sum(
                 len(fr.levels) for fr in partial.values()
             )

@@ -1,11 +1,11 @@
 """One Spark fan-out for every embarrassingly parallel step.
 
-Candidate evaluation (BASE, BASE+, GAS), random trials, exact
-combinations, AKT levels and route sizes are all ``[fn(x) for x in
-items]`` with an independent, local-kernel ``fn``. :func:`fan_out` runs
-that map on the driver or as one Spark job. ``fn`` and ``items`` ride
-in the task closure, so ``fn`` should reach the program through
-module-level functions, which are pickled by reference.
+BASE's candidate evaluation, random trials, exact combinations, AKT
+levels and route sizes are all ``[fn(x) for x in items]`` with an
+independent, local-kernel ``fn``. :func:`fan_out` runs that map on the
+driver or as one Spark job. ``fn`` and ``items`` ride in the task
+closure, so ``fn`` should reach the program through module-level
+functions, which are pickled by reference.
 """
 from __future__ import annotations
 
@@ -16,11 +16,6 @@ from collections.abc import Callable, Iterable
 
 import pandas as pd
 from pyspark.sql import SparkSession
-
-
-def runs_on_spark(spark: SparkSession | None, n: int, threshold: int) -> bool:
-    """Whether :func:`fan_out` runs ``n`` items as one Spark job."""
-    return spark is not None and n >= max(threshold, 1)
 
 
 def drop_zip_importers() -> None:
@@ -45,8 +40,9 @@ def fan_out(
 ) -> list:
     """``[fn(x) for x in items]``, in input order.
 
-    Runs on the driver unless :func:`runs_on_spark` (``threshold`` is
-    the caller's module constant), else as one Spark job of
+    Runs on the driver when ``spark`` is ``None`` or there are fewer
+    than ``max(threshold, 1)`` items (``threshold`` is the caller's
+    module constant), else as one Spark job of
     ``parts = min(defaultParallelism, n)`` tasks, one wave on the task
     slots. Task ``j`` computes items ``j`` and ``2 * parts - 1 - j`` of
     every ``2 * parts``, dealt back and forth like a serpentine draft:
@@ -57,7 +53,7 @@ def fan_out(
     """
     items = list(items)
     n = len(items)
-    if not runs_on_spark(spark, n, threshold):
+    if spark is None or n < max(threshold, 1):
         return [fn(x) for x in items]
     parts = min(spark.sparkContext.defaultParallelism, n)
 

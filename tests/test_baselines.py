@@ -214,10 +214,10 @@ def test_random_baseline_bad_budget_raises(graph, b):
         random_baseline(None, g, st, b, np.arange(g.m), trials=3)
 
 
-@pytest.mark.parametrize("trials", [0, -2])
+@pytest.mark.parametrize("trials", [0, -2, 2.5, "3", True])
 def test_random_baseline_needs_a_trial(graph, trials):
     g, st = graph
-    with pytest.raises(ValueError, match="trials must be at least 1"):
+    with pytest.raises(ValueError, match="trials must be a positive integer"):
         random_baseline(None, g, st, 2, np.arange(g.m), trials=trials)
 
 
@@ -229,3 +229,12 @@ def test_akt_bad_budget_raises(spark, graph, b):
         akt_greedy(g, st, k=4, b=b)
     with pytest.raises(ValueError, match="budget b must be a non-negative integer"):
         akt_sweep(spark, g, st, b)
+
+
+@pytest.mark.parametrize("k", [2, 0, -1, 3.5, True])
+def test_akt_bad_level_raises(spark, graph, k):
+    """A level below 3 or not an integer raises on the driver, before the
+    sweep fans out, instead of scoring gain 0."""
+    g, st = graph
+    with pytest.raises(ValueError, match="level k must be an integer >= 3"):
+        akt_sweep(spark, g, st, 2, k_values=[3, k])

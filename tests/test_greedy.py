@@ -165,46 +165,31 @@ def test_unknown_method_raises():
         run_greedy(None, g, 1, "bogus")
 
 
-# ---- distributed paths -------------------------------------------------
+# ---- dispatch ----------------------------------------------------------
 
-def test_gas_spark_path_matches_local(spark, spark_jobs):
-    g = LocalGraph(
-        community_graph(n=50, n_cliques=18, n_noise=15, drop_frac=0.1, seed=6)
-    )
-    local = run_greedy(None, g, 2, "gas")
-    dist = run_greedy(spark, g, 2, "gas")
-    assert spark_jobs()
-    assert local.anchors == dist.anchors
-    assert local.total_gain == dist.total_gain
+@pytest.mark.parametrize(
+    "method,graph",
+    [
+        ("base", dict(n=35, n_cliques=12, n_noise=8, seed=7)),
+        ("base+", dict(n=40, n_cliques=15, n_noise=10, seed=7)),
+        ("gas", dict(n=50, n_cliques=18, n_noise=15, seed=6)),
+    ],
+    ids=["base", "base+", "gas"],
+)
+def test_greedy_dispatch_matches_driver(spark, spark_jobs, method, graph):
+    """Given ``spark``, every method returns what the driver returns.
+    BASE fans out its candidates (the dispatch constant is 0 here);
+    BASE+ and GAS evaluate on the driver and run no Spark job."""
+    g = LocalGraph(community_graph(drop_frac=0.1, **graph))
+    local = run_greedy(None, g, 2, method)
+    dist = run_greedy(spark, g, 2, method)
+    assert bool(spark_jobs()) == (method == "base")
 
-    def counts(res):
-        return [(r.evaluated, r.reused, r.pruned, r.invalidated, r.partial) for r in res.rounds]
+    def outcome(res):
+        counts = [(r.evaluated, r.reused, r.pruned, r.invalidated, r.partial) for r in res.rounds]
+        return res.anchors, [r.gain for r in res.rounds], res.total_gain, counts
 
-    assert counts(local) == counts(dist)
-
-
-def test_base_spark_path_matches_local(spark, spark_jobs):
-    g = LocalGraph(
-        community_graph(n=35, n_cliques=12, n_noise=8, drop_frac=0.1, seed=7)
-    )
-    local = run_greedy(None, g, 2, "base")
-    dist = run_greedy(spark, g, 2, "base")
-    assert spark_jobs()
-    assert local.anchors == dist.anchors
-    assert local.total_gain == dist.total_gain
-
-
-def test_base_plus_spark_path_matches_local(spark, spark_jobs):
-    """Both rounds have candidates that pass the zero-gain test (15, then
-    1), so both evaluate on Spark."""
-    g = LocalGraph(
-        community_graph(n=40, n_cliques=15, n_noise=10, drop_frac=0.1, seed=7)
-    )
-    local = run_greedy(None, g, 2, "base+")
-    dist = run_greedy(spark, g, 2, "base+")
-    assert spark_jobs()
-    assert local.anchors == dist.anchors
-    assert local.total_gain == dist.total_gain
+    assert outcome(dist) == outcome(local)
 
 
 # ---- per-level reuse rule (property tests) -----------------------------
