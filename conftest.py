@@ -85,19 +85,9 @@ def spark() -> SparkSession:
 
 
 @pytest.fixture
-def spark_jobs(spark, monkeypatch, request):
-    """Every fan-out's dispatch constant lowered to 0, so each fan-out
-    given ``spark`` runs as a Spark job, under a job group of the test's
-    own. Returns a function listing the group's Spark jobs so far."""
-    from repro.baselines import exact, random_sets
-    from repro.core import greedy
-
-    for module, name in (
-        (greedy, "SPARK_MIN_CANDIDATES"),
-        (random_sets, "SPARK_MIN_TRIALS"),
-        (exact, "SPARK_MIN_COMBOS"),
-    ):
-        monkeypatch.setattr(module, name, 0)
+def spark_jobs(spark, request):
+    """The test's Spark jobs run under a job group of its own. Returns a
+    function listing the group's Spark jobs so far."""
     sc = spark.sparkContext
     group = request.node.nodeid
     sc.setJobGroup(group, group)

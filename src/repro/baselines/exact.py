@@ -2,21 +2,17 @@
 
 Feasible only on tiny graphs (the paper extracts 150-250-edge
 neighbourhood samples); used here to bound greedy's optimality gap in
-tests and in the Exp-2-style harness. Combinations fan out over Spark.
+tests and in the Exp-2-style harness. Combinations go through
+:func:`~repro.core.greedy.best_anchor_set`.
 """
 from __future__ import annotations
 
-import functools
 from itertools import combinations
 
 from pyspark.sql import SparkSession
 
-from repro.core.greedy import check_budget
-from repro.fanout import fan_out
-from repro.truss.local import LocalGraph, TrussState, trussness_gain
-
-#: Spark from here: each combination decomposes a graph of at most a few hundred edges (~0.7 ms).
-SPARK_MIN_COMBOS = 256
+from repro.core.greedy import best_anchor_set, check_budget
+from repro.truss.local import LocalGraph, TrussState
 
 
 def exact_best(
@@ -31,7 +27,5 @@ def exact_best(
     tie-breaking; ``b`` is clamped to ``g.m``.
     """
     combos = list(combinations(range(g.m), check_budget(b, g.m)))
-    gains = fan_out(
-        spark, functools.partial(trussness_gain, g, st), map(frozenset, combos), SPARK_MIN_COMBOS
-    )
-    return max(zip(gains, map(list, combos)), key=lambda t: (t[0], [-x for x in t[1]]))
+    gain, best = best_anchor_set(spark, g, st, combos)  # lexicographic order: first max wins
+    return gain, list(combos[best])

@@ -9,9 +9,8 @@ EXPERIMENTS.md):
 * **Sup**  — pool = top 20% of edges by support;
 * **Tur**  — pool = top 20% of edges by upward-route size.
 
-Evaluating a trial is a full anchored truss decomposition, so the
-trials fan out over Spark (one local-kernel decomposition per trial,
-graph in the task closure).
+The trials are drawn on the driver and evaluated, one full anchored
+truss decomposition each, by :func:`~repro.core.greedy.best_anchor_set`.
 """
 from __future__ import annotations
 
@@ -20,17 +19,12 @@ import numbers
 import numpy as np
 from pyspark.sql import SparkSession
 
-from repro.core.greedy import check_budget
-from repro.fanout import fan_out
-from repro.truss.local import LocalGraph, TrussState, trussness_gain
-
-#: Spark from here: 64 trials (one decomposition each, ~6.5 ms on facebook) take 0.42 s on the
-#: driver and 0.34 s as one warm Spark call.
-SPARK_MIN_TRIALS = 64
+from repro.core.greedy import best_anchor_set, check_budget
+from repro.truss.local import LocalGraph, TrussState
 
 
 def top_frac_pool(scores: np.ndarray, frac: float = 0.2) -> np.ndarray:
-    """Edge ids of the top ``frac`` fraction by score (at least 1 edge)."""
+    """Edge ids of the top ``frac`` fraction by score (at least 1 unless ``scores`` is empty)."""
     m = len(scores)
     k = max(1, int(m * frac))
     return np.argsort(-scores, kind="stable")[:k]
@@ -48,18 +42,21 @@ def random_baseline(
     """Best trussness gain over ``trials`` random ``b``-subsets of ``pool``.
 
     Returns ``(best_gain, best_anchor_ids)``. Deterministic in ``seed``:
-    trial ``i`` uses rng ``seed * 10^6 + i`` so the distributed and
-    serial paths draw identical sets, and ties go to the smallest trial
-    index, whatever order Spark returns the trials in.
+    trial ``i`` draws with rng ``seed * 10^6 + i``, and ties go to the
+    smallest trial index. ``ValueError`` unless ``pool`` holds integer
+    edge ids ``0..m-1``.
     """
+    pool = np.asarray(pool)
+    if pool.size and (pool.dtype.kind not in "iu" or pool.min() < 0 or pool.max() >= g.m):
+        raise ValueError(f"pool must hold integer edge ids 0..{g.m - 1}, got {pool!r}")
     b_eff = check_budget(b, len(pool))
     if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or trials < 1:
         raise ValueError(f"trials must be a positive integer, got {trials!r}")
 
-    def run_trial(i: int) -> tuple[int, list[int]]:
+    def draw(i: int) -> list[int]:
         rng = np.random.default_rng(seed * 1_000_000 + i)
-        ids = [int(v) for v in rng.choice(pool, size=b_eff, replace=False)]
-        return trussness_gain(g, st, ids), ids
+        return [int(v) for v in rng.choice(pool, size=b_eff, replace=False)]
 
-    # max keeps the first of equal gains: the smallest trial index.
-    return max(fan_out(spark, run_trial, range(trials), SPARK_MIN_TRIALS), key=lambda r: r[0])
+    sets = [draw(i) for i in range(trials)]
+    gain, best = best_anchor_set(spark, g, st, sets)
+    return gain, sets[best]

@@ -63,8 +63,9 @@ BASE and BASE+ keep nothing: 0 / 0 / 0.
 BASE+ and GAS evaluate on the driver: after the zero-gain test a round
 has hundreds of follower searches, and at thousands (pokec's generator
 ×10 and ×50) one Spark fan-out of them took 2–6× the driver's time.
-BASE's candidates, each a full decomposition, fan out over Spark
-(:func:`repro.fanout.fan_out`) from :data:`SPARK_MIN_CANDIDATES`.
+BASE's candidates, each a full decomposition, go through
+:func:`best_anchor_set`, shared with the Rand / Sup / Tur and Exact
+baselines.
 """
 from __future__ import annotations
 
@@ -84,11 +85,6 @@ from repro.core.followers import (
 )
 from repro.fanout import fan_out
 from repro.truss.local import LocalGraph, TrussState, decompose, trussness_gain
-
-#: BASE fans out from here. A candidate costs 1.6 ms (college) to 4.5 ms (facebook) on the driver,
-#: a warm fan-out over facebook with ``(g, st)`` 0.16–0.20 s on 4 task threads, so Spark breaks even
-#: near 50–150; college's 1,520 take 0.67–0.90 s on Spark against the driver's 1.57–2.41 s.
-SPARK_MIN_CANDIDATES = 512
 
 
 @dataclass
@@ -191,8 +187,20 @@ def check_budget(b: int, cap: int) -> int:
     return min(int(b), cap)
 
 
+def best_anchor_set(
+    spark: SparkSession | None, g: LocalGraph, st: TrussState, sets: list
+) -> tuple[int, int]:
+    """The largest :func:`~repro.truss.local.trussness_gain` over ``st``
+    among the anchor sets ``sets`` (non-empty) and the index of the first
+    set reaching it. Fans out over Spark given a session
+    (:func:`repro.fanout.fan_out`), on the driver given ``None``."""
+    gains = fan_out(spark, functools.partial(trussness_gain, g, st), sets)
+    best = int(np.argmax(gains))  # the first maximum
+    return gains[best], best
+
+
 def run_greedy(
-    spark: SparkSession,
+    spark: SparkSession | None,
     g: LocalGraph,
     b: int,
     method: str = "gas",
@@ -200,9 +208,9 @@ def run_greedy(
     """Run ``b`` rounds of greedy anchoring with the given method.
 
     ``method`` in ``{"base", "base+", "gas"}``. BASE's candidates fan
-    out to Spark when they number :data:`SPARK_MIN_CANDIDATES` or more;
-    BASE+ and GAS evaluate theirs on the driver, so they ignore
-    ``spark``.
+    out to Spark given a session; pass ``spark=None`` to evaluate them
+    on the driver. BASE+ and GAS evaluate theirs on the driver, so they
+    ignore ``spark``.
     """
     if method not in {"base", "base+", "gas"}:
         raise ValueError(f"unknown method {method!r}")
@@ -218,12 +226,11 @@ def run_greedy(
         r_start = time.perf_counter()
         free = np.ones(g.m, dtype=bool)
         free[list(anchors)] = False
-        gains = np.where(free, 0, -1)  # an anchored edge is never the best
         levels_recomputed = pruned = 0
         if method == "base":
             cand = np.flatnonzero(free).tolist()
-            gain_of = functools.partial(trussness_gain, g, st)
-            gains[cand] = fan_out(spark, gain_of, [{e} for e in cand], SPARK_MIN_CANDIDATES)
+            gain, i = best_anchor_set(spark, g, st, [{e} for e in cand])
+            best = cand[i]  # the first maximum: smallest edge id on ties
             evaluated, reused = len(cand), 0
         else:
             if method == "base+":
@@ -238,12 +245,13 @@ def run_greedy(
             )
             cache.update(fresh)
             partial = {}
+            gains = np.where(free, 0, -1)  # an anchored edge is never the best
             gains[list(cache)] = [fr.gain for fr in cache.values()]
             evaluated, reused = len(todo), len(cache) - len(todo)
             pruned = int(stale.sum()) - evaluated
+            best = int(np.argmax(gains))  # the first maximum: smallest edge id on ties
+            gain = int(gains[best])
 
-        best = int(np.argmax(gains))  # the first maximum: smallest edge id on ties
-        gain = int(gains[best])
         anchors.add(best)
         prev = st
         st = decompose(g, frozenset(anchors))

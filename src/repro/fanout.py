@@ -2,10 +2,10 @@
 
 BASE's candidate evaluation, random trials, exact combinations, AKT
 levels and route sizes are all ``[fn(x) for x in items]`` with an
-independent, local-kernel ``fn``. :func:`fan_out` runs that map on the
-driver or as one Spark job. ``fn`` and ``items`` ride in the task
-closure, so ``fn`` should reach the program through module-level
-functions, which are pickled by reference.
+independent, local-kernel ``fn``. :func:`fan_out` runs that map by one
+rule: a session means one Spark job; pass ``spark=None`` for the driver.
+``fn`` and ``items`` ride in the task closure, so ``fn`` should reach the
+program through module-level functions, which are pickled by reference.
 """
 from __future__ import annotations
 
@@ -35,25 +35,22 @@ def drop_zip_importers() -> None:
             del sys.path_importer_cache[path]
 
 
-def fan_out(
-    spark: SparkSession | None, fn: Callable, items: Iterable, threshold: int = 0
-) -> list:
+def fan_out(spark: SparkSession | None, fn: Callable, items: Iterable) -> list:
     """``[fn(x) for x in items]``, in input order.
 
-    Runs on the driver when ``spark`` is ``None`` or there are fewer
-    than ``max(threshold, 1)`` items (``threshold`` is the caller's
-    module constant), else as one Spark job of
-    ``parts = min(defaultParallelism, n)`` tasks, one wave on the task
-    slots. Task ``j`` computes items ``j`` and ``2 * parts - 1 - j`` of
-    every ``2 * parts``, dealt back and forth like a serpentine draft:
-    neighbouring items tend to cost alike (AKT's levels get cheaper as
-    ``k`` grows), so each task takes some of the costliest and some of
-    the cheapest. Each result returns pickled and is placed by position,
-    so the outcome does not depend on partitioning or row order.
+    Runs on the driver when ``spark`` is ``None`` or there are no items,
+    else as one Spark job of ``parts = min(defaultParallelism, n)``
+    tasks, one wave on the task slots. Task ``j`` computes items ``j``
+    and ``2 * parts - 1 - j`` of every ``2 * parts``, dealt back and
+    forth like a serpentine draft: neighbouring items tend to cost alike
+    (AKT's levels get cheaper as ``k`` grows), so each task takes some
+    of the costliest and some of the cheapest. Each result returns
+    pickled and is placed by position, so the outcome does not depend on
+    partitioning or row order.
     """
     items = list(items)
     n = len(items)
-    if spark is None or n < max(threshold, 1):
+    if spark is None or n == 0:
         return [fn(x) for x in items]
     parts = min(spark.sparkContext.defaultParallelism, n)
 

@@ -8,6 +8,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as hst
 
 from repro.baselines.akt import akt_greedy, akt_sweep, anchored_ktruss_counts
+from repro.baselines.exact import exact_best
 from repro.baselines.random_sets import random_baseline, top_frac_pool
 from repro.core.greedy import run_greedy
 from repro.graphs.gen import community_graph
@@ -59,19 +60,29 @@ def test_random_spark_matches_serial(spark, spark_jobs, graph):
     assert serial == dist
 
 
-def test_random_spark_ties_go_to_smallest_trial(spark, spark_jobs):
-    """On a triangle-free graph every trial gains 0, so all trials tie and
-    both paths must return trial 0's anchor set, whatever order Spark
-    returns the trials in."""
+#: Each case's ``(got, want)`` on a graph where every anchor set gains 0.
+TIE_CASES = {
+    "base": lambda s, g, st: (run_greedy(s, g, 1, "base").anchors, [0]),
+    "rand": lambda s, g, st: (
+        random_baseline(s, g, st, 3, np.arange(g.m), trials=64, seed=4),
+        random_baseline(None, g, st, 3, np.arange(g.m), trials=1, seed=4),
+    ),
+    "exact": lambda s, g, st: (exact_best(s, g, st, 2), (0, [0, 1])),
+}
+
+
+@pytest.mark.parametrize("on_spark", [True, False], ids=["spark", "driver"])
+@pytest.mark.parametrize("case", TIE_CASES)
+def test_ties_go_to_first_anchor_set(spark, spark_jobs, case, on_spark):
+    """On the triangle-free 40-cycle every anchor set gains 0, so all tie:
+    BASE anchors edge 0, Rand returns trial 0's set and Exact the
+    lexicographically first pair, on Spark (whatever order it returns
+    the sets in) and on the driver."""
     n = 40
     g = LocalGraph(pd.DataFrame({"src": range(n), "dst": [(v + 1) % n for v in range(n)]}))
-    st = decompose(g)
-    serial = random_baseline(None, g, st, 3, np.arange(g.m), trials=64, seed=4)
-    dist = random_baseline(spark, g, st, 3, np.arange(g.m), trials=64, seed=4)
-    assert spark_jobs()
-    assert serial == random_baseline(None, g, st, 3, np.arange(g.m), trials=1, seed=4)
-    assert serial[0] == 0
-    assert dist == serial
+    got, want = TIE_CASES[case](spark if on_spark else None, g, decompose(g))
+    assert bool(spark_jobs()) == on_spark
+    assert got == want
 
 
 def test_greedy_beats_random_baselines(graph):
@@ -219,6 +230,18 @@ def test_random_baseline_needs_a_trial(graph, trials):
     g, st = graph
     with pytest.raises(ValueError, match="trials must be a positive integer"):
         random_baseline(None, g, st, 2, np.arange(g.m), trials=trials)
+
+
+@pytest.mark.parametrize(
+    "make_pool", [lambda m: [-1], lambda m: [m], lambda m: [0.5]], ids=["-1", "m", "0.5"]
+)
+def test_random_baseline_bad_pool_raises(spark, graph, make_pool):
+    """A pool id outside ``0..m-1`` or not an integer raises on the
+    driver, before the trials fan out, instead of being truncated or
+    failing inside a Spark task."""
+    g, st = graph
+    with pytest.raises(ValueError, match="pool must hold integer edge ids"):
+        random_baseline(spark, g, st, 1, np.array(make_pool(g.m)), trials=3)
 
 
 @pytest.mark.parametrize("b", [-1, True, 2.5])

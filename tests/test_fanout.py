@@ -9,31 +9,22 @@ import pytest
 from repro.fanout import drop_zip_importers, fan_out
 
 
-@pytest.mark.parametrize(
-    "n,threshold,on_spark",
-    [(37, 0, True), (0, 0, False), (5, 5, True), (4, 5, False)],
-    ids=["order", "empty", "at_threshold", "below_threshold"],
-)
-def test_fan_out(spark, n, threshold, on_spark):
+@pytest.mark.parametrize("n", [37, 0], ids=["order", "empty"])
+def test_fan_out(spark, spark_jobs, n):
     """Results come back complete and in input order, equal to the driver
     path, from exactly one Spark job of ``min(defaultParallelism, n)``
-    tasks when on Spark; 37 is prime, so no task count below it divides
-    it."""
+    tasks given a session and at least one item, and from none given no
+    items; 37 is prime, so no task count below it divides it."""
 
     def fn(x):
         return x * x, frozenset(range(x % 4))
 
-    sc = spark.sparkContext
-    group = f"test-fan-out-{n}-{threshold}"
-    sc.setJobGroup(group, group)
-    try:
-        got = fan_out(spark, fn, range(n), threshold)
-    finally:
-        sc.setLocalProperty("spark.jobGroup.id", None)
+    got = fan_out(spark, fn, range(n))
     assert got == fan_out(None, fn, range(n)) == [fn(x) for x in range(n)]
+    sc = spark.sparkContext
     tracker = sc.statusTracker()
-    jobs = tracker.getJobIdsForGroup(group)
-    assert len(jobs) == int(on_spark)
+    jobs = spark_jobs()
+    assert len(jobs) == int(n > 0)
     for job in jobs:
         tasks = [tracker.getStageInfo(s).numTasks for s in tracker.getJobInfo(job).stageIds]
         assert tasks == [min(sc.defaultParallelism, n)]

@@ -178,8 +178,8 @@ def test_unknown_method_raises():
 )
 def test_greedy_dispatch_matches_driver(spark, spark_jobs, method, graph):
     """Given ``spark``, every method returns what the driver returns.
-    BASE fans out its candidates (the dispatch constant is 0 here);
-    BASE+ and GAS evaluate on the driver and run no Spark job."""
+    BASE fans out its candidates; BASE+ and GAS evaluate on the driver
+    and run no Spark job."""
     g = LocalGraph(community_graph(drop_frac=0.1, **graph))
     local = run_greedy(None, g, 2, method)
     dist = run_greedy(spark, g, 2, method)
