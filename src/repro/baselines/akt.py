@@ -25,7 +25,6 @@ sequential and stay in one task.
 from __future__ import annotations
 
 import functools
-import numbers
 
 import numpy as np
 import pandas as pd
@@ -33,7 +32,7 @@ from pyspark.sql import SparkSession
 
 from repro.core.greedy import check_budget
 from repro.fanout import fan_out
-from repro.truss.local import LocalGraph, TrussState, decompose
+from repro.truss.local import LocalGraph, TrussState, decompose, is_int
 
 #: Vertices scored per round, those on the most ``(k-1)``-trussness edges (frontier-degree pruning).
 CAND_CAP = 40
@@ -115,7 +114,7 @@ def akt_sweep(
     check_budget(b, g.n)  # bad input raises here, not inside a Spark task
     ks = list(range(3, st.kmax + 2)) if k_values is None else k_values
     for k in ks:  # every edge has trussness >= 2, so below k = 3 a level keeps nothing
-        if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 3:
+        if not is_int(k) or k < 3:
             raise ValueError(f"level k must be an integer >= 3, got {k!r}")
     runs = fan_out(spark, functools.partial(akt_greedy, g, st, b=b), ks)
     return {k: gain for k, (gain, _) in zip(ks, runs)}

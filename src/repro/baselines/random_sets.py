@@ -14,13 +14,11 @@ truss decomposition each, by :func:`~repro.core.greedy.best_anchor_set`.
 """
 from __future__ import annotations
 
-import numbers
-
 import numpy as np
 from pyspark.sql import SparkSession
 
 from repro.core.greedy import best_anchor_set, check_budget
-from repro.truss.local import LocalGraph, TrussState
+from repro.truss.local import LocalGraph, TrussState, is_int
 
 
 def top_frac_pool(scores: np.ndarray, frac: float = 0.2) -> np.ndarray:
@@ -50,7 +48,7 @@ def random_baseline(
     if pool.size and (pool.dtype.kind not in "iu" or pool.min() < 0 or pool.max() >= g.m):
         raise ValueError(f"pool must hold integer edge ids 0..{g.m - 1}, got {pool!r}")
     b_eff = check_budget(b, len(pool))
-    if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or trials < 1:
+    if not is_int(trials) or trials < 1:
         raise ValueError(f"trials must be a positive integer, got {trials!r}")
 
     def draw(i: int) -> list[int]:

@@ -70,7 +70,6 @@ baselines.
 from __future__ import annotations
 
 import functools
-import numbers
 import time
 from dataclasses import dataclass, replace
 
@@ -84,7 +83,7 @@ from repro.core.followers import (
     root_verdict,
 )
 from repro.fanout import fan_out
-from repro.truss.local import LocalGraph, TrussState, decompose, trussness_gain
+from repro.truss.local import LocalGraph, TrussState, decompose, is_int, trussness_gain
 
 
 @dataclass
@@ -182,7 +181,7 @@ def check_budget(b: int, cap: int) -> int:
     """The budget ``b`` clamped to ``cap`` (no more anchors than there
     are items to anchor); ``ValueError`` unless ``b`` is a non-negative
     integer."""
-    if isinstance(b, bool) or not isinstance(b, numbers.Integral) or b < 0:
+    if not is_int(b) or b < 0:
         raise ValueError(f"budget b must be a non-negative integer, got {b!r}")
     return min(int(b), cap)
 

@@ -16,6 +16,7 @@ against networkx ``k_truss`` on the full stand-in datasets.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +24,13 @@ import pandas as pd
 
 #: Sentinel trussness of an anchored edge: anchors live in every truss.
 INF_T = 1 << 30
+
+
+def is_int(x) -> bool:
+    """The one integer rule for edge ids, budgets, levels and trial
+    counts: an :class:`numbers.Integral` (``np.int64`` included) that is
+    not a ``bool``."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 class LocalGraph:
@@ -182,11 +190,13 @@ def decompose(g: LocalGraph, anchors: frozenset[int] | set[int] = frozenset()) -
     with ``sup <= k-2`` at once; each live triangle with a removed edge
     dies once and takes one support from each of its edges. Deterministic
     for a given (graph, anchors) pair. ``ValueError`` if an anchor is
-    not an edge id ``0..m-1``.
+    not an integer (:func:`is_int`) or not an edge id ``0..m-1``.
     """
     anchors = frozenset(anchors)
     m = g.m
     for a in anchors:
+        if not is_int(a):
+            raise ValueError(f"anchor edge id {a} is not an integer (a {type(a).__name__})")
         if not 0 <= a < m:
             raise ValueError(f"anchor edge id {a} is outside 0..m-1 (m = {m})")
     peelable = np.ones(m, dtype=bool)  # alive and not anchored

@@ -129,10 +129,12 @@ def test_empty_and_tiny_graphs():
     assert int(st.t[0]) == 2 and int(st.layer[0]) == 1
 
 
-@pytest.mark.parametrize("bad", [-1, 3])
+@pytest.mark.parametrize("bad", [-1, 3, 1.5, True, "1"])
 def test_anchor_id_out_of_range_raises(bad):
-    """Edge ids run ``0..m-1``: ``-1`` must not wrap round to the last
-    edge and ``m`` must not escape as a bare ``IndexError``."""
+    """Edge ids are integers ``0..m-1``: ``-1`` must not wrap round to
+    the last edge, ``m`` and ``1.5`` must not escape as a bare
+    ``IndexError``, ``True`` must not act as a boolean mask and ``"1"``
+    must not escape as a ``TypeError``."""
     g = LocalGraph(clique([0, 1, 2]))
     with pytest.raises(ValueError, match=f"anchor edge id {bad} "):
         decompose(g, {bad})

@@ -1,4 +1,6 @@
 """BASE / BASE+ / GAS equivalence, caching exactness, Spark fan-out."""
+import dataclasses
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -10,7 +12,7 @@ from repro.core.greedy import _eval_followers_local, _invalidate, run_greedy
 from repro.exp.datasets import load
 from repro.graphs.gen import community_graph, random_graph
 from repro.graphs.toys import truss_ladder
-from repro.truss.local import LocalGraph, decompose
+from repro.truss.local import LocalGraph, decompose, trussness_gain
 
 
 def _graphs():
@@ -43,6 +45,29 @@ def test_round_gains_sum_to_total(label, pdf):
     g = LocalGraph(pdf)
     r = run_greedy(None, g, 4, "gas")
     assert sum(rd.gain for rd in r.rounds) == r.total_gain
+
+
+@pytest.mark.parametrize("method", ["base", "base+", "gas"])
+@pytest.mark.parametrize("label", ["facebook_mini", "ladder"])
+def test_budget_prefix_invariance(label, method):
+    """Greedy has no lookahead: a run at budget ``b' < b`` is the first
+    ``b'`` rounds of the run at ``b``, with the same anchors, per-round
+    gains and counts (all but ``seconds``), and its total is the gain of
+    those anchors. Table V takes its GAS gain from Table III's run this
+    way."""
+    g = load(label) if label != "ladder" else LocalGraph(truss_ladder())
+    st0 = decompose(g)
+    b = 3
+    full = run_greedy(None, g, b, method)
+
+    def counts(rounds):
+        return [dataclasses.replace(r, seconds=0.0) for r in rounds]
+
+    for short_b in range(1, b):
+        short = run_greedy(None, g, short_b, method)
+        assert short.anchors == full.anchors[:short_b]
+        assert counts(short.rounds) == counts(full.rounds[:short_b])
+        assert short.total_gain == trussness_gain(g, st0, frozenset(full.anchors[:short_b]))
 
 
 def test_gas_reuses_cache():

@@ -1,13 +1,22 @@
-"""Table III/IV/V harnesses end-to-end on the micro datasets."""
+"""Tables III/IV/V pass and its job end-to-end on the micro datasets."""
+import importlib.util
+import pathlib
+
+import pandas as pd
 import pytest
 
-from repro.exp.datasets import MICRO, NAMES
+from repro.core.greedy import run_greedy
+from repro.exp.datasets import MICRO, NAMES, load
 from repro.exp.paper_numbers import PAPER_TABLE3, PAPER_TABLE4, PAPER_TABLE5
-from repro.exp.table3 import format_row, run_table3
-from repro.exp.table4 import run_table4
-from repro.exp.table5 import run_table5
+from repro.exp.tables import format_row, run_tables
 
 MICRO_NAMES = sorted(MICRO)
+COLUMNS = {
+    3: ["dataset", "vertices", "edges", "kmax", "supmax", "gain_rand", "gain_sup",
+        "gain_tur", "gain_gas", "time_gas", "time_base+", "time_base"],
+    4: ["dataset", "min", "max", "sum", "avg"],
+    5: ["dataset", "gas_gain", "akt_max", "akt_avg", "avg_gain_pct", "max_gain_pct"],
+}
 
 
 def test_paper_numbers_cover_all_datasets():
@@ -25,47 +34,63 @@ def test_paper_table3_shape():
 
 
 @pytest.mark.slow
-def test_table3_micro(spark):
-    df = run_table3(
-        spark, names=MICRO_NAMES, b=3, trials=10, base_on=("college_mini",)
+def test_tables_micro(spark):
+    t3, t4, t5 = run_tables(
+        spark, names=MICRO_NAMES, b=3, akt_b=2, trials=10, base_on=("college_mini",)
     )
-    assert list(df["dataset"]) == MICRO_NAMES
-    assert (df["gain_gas"] >= 0).all()
+    for n, df in zip((3, 4, 5), (t3, t4, t5)):
+        assert list(df.columns) == COLUMNS[n]
+        assert list(df["dataset"]) == MICRO_NAMES
+
+    assert (t3["gain_gas"] >= 0).all()
     # GAS must not lose to any random baseline (same budget, same graph)
     for col in ("gain_rand", "gain_sup", "gain_tur"):
-        assert (df["gain_gas"] >= df[col]).all(), col
-    row = df[df["dataset"] == "college_mini"].iloc[0].to_dict()
+        assert (t3["gain_gas"] >= t3[col]).all(), col
+    row = t3[t3["dataset"] == "college_mini"].iloc[0].to_dict()
     assert row["time_base"] is not None
     assert isinstance(format_row(row), str)
 
+    assert (t4["min"] >= 0).all()
+    assert (t4["max"] >= t4["min"]).all()
+    assert (t4["sum"] >= t4["max"]).all()
 
-@pytest.mark.slow
-def test_table4_micro(spark):
-    df = run_table4(spark, names=MICRO_NAMES)
-    assert set(df.columns) == {"dataset", "min", "max", "sum", "avg"}
-    assert (df["min"] >= 0).all()
-    assert (df["max"] >= df["min"]).all()
-    assert (df["sum"] >= df["max"]).all()
-
-
-@pytest.mark.slow
-def test_table5_micro(spark):
-    df = run_table5(spark, names=MICRO_NAMES, b=2)
-    assert set(df["dataset"]) == set(MICRO_NAMES)
-    assert (df["avg_gain_pct"] <= df["max_gain_pct"] + 1e-9).all()
+    assert (t5["avg_gain_pct"] <= t5["max_gain_pct"] + 1e-9).all()
+    # Table V's GAS gain, the prefix of the b=3 run, is a b=2 run's gain
+    for name, gain in zip(t5["dataset"], t5["gas_gain"]):
+        assert gain == run_greedy(None, load(name), 2).total_gain, name
 
 
-@pytest.mark.parametrize(
-    "run", [run_table3, run_table4, run_table5], ids=lambda f: f.__name__
-)
-def test_empty_names_run_no_dataset(run, monkeypatch):
+def test_empty_names_run_no_dataset(monkeypatch):
     """``names=[]`` selects and builds no dataset; only ``None`` means all
     eight."""
     def no_build(name):
         raise AssertionError(f"built {name}")
 
     monkeypatch.setattr("repro.exp.datasets.edge_frame", no_build)
-    assert run(None, names=[]).empty
+    assert all(df.empty for df in run_tables(None, names=[]))
+
+
+def test_akt_budget_above_b_raises():
+    with pytest.raises(ValueError, match="akt_b"):
+        run_tables(None, names=[], b=2, akt_b=3)
+
+
+@pytest.mark.slow
+def test_job_writes_three_tables(spark, tmp_path):
+    """``jobs/tables.py`` runs on the test session and writes the three
+    CSVs, one row per named dataset."""
+    path = pathlib.Path(__file__).parents[1] / "jobs" / "tables.py"
+    spec = importlib.util.spec_from_file_location("tables_job", path)
+    job = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(job)
+    job.main([
+        "--names", "college_mini", "--b", "2", "--akt-b", "1", "--trials", "2",
+        "--out-dir", str(tmp_path),
+    ])
+    for n, cols in COLUMNS.items():
+        df = pd.read_csv(tmp_path / f"table{n}.csv")
+        assert list(df.columns) == cols, n
+        assert list(df["dataset"]) == ["college_mini"], n
 
 
 def test_format_row_handles_missing_base():
