@@ -33,15 +33,20 @@ def test_paper_table3_shape():
         assert gas > max(rand, sup, tur), name
 
 
-@pytest.mark.slow
-def test_tables_micro(spark):
-    t3, t4, t5 = run_tables(
+@pytest.fixture(scope="module")
+def micro_tables(spark):
+    """One Tables III/IV/V pass over the micros, shared by the three
+    per-table tests below."""
+    return run_tables(
         spark, names=MICRO_NAMES, b=3, akt_b=2, trials=10, base_on=("college_mini",)
     )
-    for n, df in zip((3, 4, 5), (t3, t4, t5)):
-        assert list(df.columns) == COLUMNS[n]
-        assert list(df["dataset"]) == MICRO_NAMES
 
+
+@pytest.mark.slow
+def test_table3_micro(micro_tables):
+    t3 = micro_tables[0]
+    assert list(t3.columns) == COLUMNS[3]
+    assert list(t3["dataset"]) == MICRO_NAMES
     assert (t3["gain_gas"] >= 0).all()
     # GAS must not lose to any random baseline (same budget, same graph)
     for col in ("gain_rand", "gain_sup", "gain_tur"):
@@ -50,24 +55,37 @@ def test_tables_micro(spark):
     assert row["time_base"] is not None
     assert isinstance(format_row(row), str)
 
+
+@pytest.mark.slow
+def test_table4_micro(micro_tables):
+    t4 = micro_tables[1]
+    assert list(t4.columns) == COLUMNS[4]
+    assert list(t4["dataset"]) == MICRO_NAMES
     assert (t4["min"] >= 0).all()
     assert (t4["max"] >= t4["min"]).all()
     assert (t4["sum"] >= t4["max"]).all()
 
+
+@pytest.mark.slow
+def test_table5_micro(micro_tables):
+    t5 = micro_tables[2]
+    assert list(t5.columns) == COLUMNS[5]
+    assert list(t5["dataset"]) == MICRO_NAMES
     assert (t5["avg_gain_pct"] <= t5["max_gain_pct"] + 1e-9).all()
     # Table V's GAS gain, the prefix of the b=3 run, is a b=2 run's gain
     for name, gain in zip(t5["dataset"], t5["gas_gain"]):
         assert gain == run_greedy(None, load(name), 2).total_gain, name
 
 
-def test_empty_names_run_no_dataset(monkeypatch):
-    """``names=[]`` selects and builds no dataset; only ``None`` means all
-    eight."""
+@pytest.mark.parametrize("table", [0, 1, 2], ids=["run_table3", "run_table4", "run_table5"])
+def test_empty_names_run_no_dataset(table, monkeypatch):
+    """``names=[]`` selects and builds no dataset, and each of the three
+    tables comes back empty; only ``None`` means all eight."""
     def no_build(name):
         raise AssertionError(f"built {name}")
 
     monkeypatch.setattr("repro.exp.datasets.edge_frame", no_build)
-    assert all(df.empty for df in run_tables(None, names=[]))
+    assert run_tables(None, names=[])[table].empty
 
 
 def test_akt_budget_above_b_raises():
