@@ -27,38 +27,40 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.core.greedy import check_budget
 from repro.fanout import fan_out
-from repro.truss.local import LocalGraph, TrussState, decompose, is_int
+from repro.truss.local import LocalGraph, TrussState, is_int
 
 #: Vertices scored per round, those on the most ``(k-1)``-trussness edges (frontier-degree pruning).
 CAND_CAP = 40
 
 
-def _level_subgraph(g: LocalGraph, st: TrussState, k: int) -> tuple[LocalGraph, np.ndarray]:
-    """The subgraph of edges with ``t(e) >= k-1`` and, per edge of it,
-    whether ``t(e) == k-1``. Edges below can neither join nor support a
-    ``k``-truss, so the restriction is exact."""
-    keep = st.t >= k - 1
-    # The rows of g.edges are canonical, so sub's edge ids follow them in order.
-    sub = LocalGraph(pd.DataFrame(g.edges[keep], columns=["src", "dst"]))
-    return sub, st.t[keep] == k - 1
+def _level(g: LocalGraph, st: TrussState, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The frontier ``t(e) == k-1`` and the rows of ``g.tri`` with all
+    three edges at ``t >= k-1``, one on the frontier. The ``t >= k``
+    edges form a ``k``-truss, so they stay whatever is protected, and a
+    triangle without a frontier edge only supports edges that stay."""
+    frontier = st.t == k - 1
+    tri = g.tri[(st.t[g.tri] >= k - 1).all(axis=1) & frontier[g.tri].any(axis=1)]
+    return frontier, tri
 
 
 def _counts(
-    sub: LocalGraph, frontier: np.ndarray, k: int, anchored_vertices: frozenset[int]
+    g: LocalGraph, frontier: np.ndarray, tri: np.ndarray, k: int, anchored_vertices: frozenset[int]
 ) -> tuple[int, int]:
-    """:func:`anchored_ktruss_counts` on a prebuilt :func:`_level_subgraph`.
-
-    Protecting an edge is anchoring it, so the anchored ``k``-truss is
-    the set of edges whose anchored trussness is at least ``k``.
-    """
-    protected = np.isin(sub.edges, list(anchored_vertices)).any(axis=1)
-    st = decompose(sub, np.flatnonzero(protected).tolist())
-    kept = frontier & (st.t >= k)
+    """:func:`anchored_ktruss_counts` on a prebuilt :func:`_level`: only
+    unprotected frontier edges can leave, each round those on fewer than
+    ``k-2`` live triangles."""
+    protected = np.isin(g.edges, list(anchored_vertices)).any(axis=1)
+    kept = frontier.copy()
+    while True:
+        drop = kept & ~protected & (np.bincount(tri.ravel(), minlength=g.m) < k - 2)
+        if not drop.any():
+            break
+        kept &= ~drop
+        tri = tri[~drop[tri].any(axis=1)]
     return int(kept.sum()), int((kept & ~protected).sum())
 
 
@@ -76,7 +78,7 @@ def anchored_ktruss_counts(
     * ``measured_gain`` — retained ``(k-1)``-trussness edges that are
       *not* protected (the ATR paper's trussness-gain measurement).
     """
-    return _counts(*_level_subgraph(g, st, k), k, anchored_vertices)
+    return _counts(g, *_level(g, st, k), k, anchored_vertices)
 
 
 def akt_greedy(g: LocalGraph, st: TrussState, k: int, b: int) -> tuple[int, list[int]]:
@@ -87,18 +89,18 @@ def akt_greedy(g: LocalGraph, st: TrussState, k: int, b: int) -> tuple[int, list
     Returns ``(measured_gain, vertices)``.
     """
     b = check_budget(b, g.n)
-    sub, frontier = _level_subgraph(g, st, k)
-    verts, incid = np.unique(sub.edges[frontier], return_counts=True)
+    frontier, tri = _level(g, st, k)
+    verts, incid = np.unique(g.edges[frontier], return_counts=True)
     cand_vertices = verts[np.lexsort((verts, -incid))][: max(CAND_CAP, b)].tolist()
     anchored: set[int] = set()
     for _ in range(b):
         cands = [v for v in cand_vertices if v not in anchored]
         if not cands:
             break
-        scored = {v: _counts(sub, frontier, k, frozenset(anchored | {v}))[0] for v in cands}
+        scored = {v: _counts(g, frontier, tri, k, frozenset(anchored | {v}))[0] for v in cands}
         v_best = min(scored, key=lambda v: (-scored[v], v))
         anchored.add(v_best)
-    gain = _counts(sub, frontier, k, frozenset(anchored))[1]
+    gain = _counts(g, frontier, tri, k, frozenset(anchored))[1]
     return gain, sorted(anchored)
 
 

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.truss.local import INF_T, LocalGraph, TrussState
+from repro.truss.local import INF_T, LocalGraph, TrussState, triangle_incidence
 
 
 @dataclass(frozen=True)
@@ -257,10 +257,7 @@ def may_have_followers(g: LocalGraph, st: TrussState) -> np.ndarray:
     ``Z``.
     """
     t, m = st.t, g.m
-    a, b, c = g.tri.T
-    own = np.concatenate([a, b, c])  # every triangle once per edge,
-    p = np.concatenate([b, a, a])  # with that edge's two partners
-    q = np.concatenate([c, c, b])
+    own, p, q = triangle_incidence(g.tri)
     z = t < INF_T
     # Peel Z. A partner above the owner's level always qualifies; one at
     # the owner's level qualifies while it is in Z.

@@ -42,9 +42,9 @@ def fan_out(spark: SparkSession | None, fn: Callable, items: Iterable) -> list:
     else as one Spark job of ``parts = min(defaultParallelism, n)``
     tasks, one wave on the task slots. Task ``j`` computes items ``j``
     and ``2 * parts - 1 - j`` of every ``2 * parts``, dealt back and
-    forth like a serpentine draft: neighbouring items tend to cost alike
-    (AKT's levels get cheaper as ``k`` grows), so each task takes some
-    of the costliest and some of the cheapest. Each result returns
+    forth like a serpentine draft so that each task gets costly and cheap
+    items where cost trends with position; on AKT's levels it ties or
+    beats round-robin (EXPERIMENTS.md § Table V). Each result returns
     pickled and is placed by position, so the outcome does not depend on
     partitioning or row order.
     """

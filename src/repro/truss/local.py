@@ -129,13 +129,18 @@ def _triangles(local: np.ndarray, n: int) -> np.ndarray:
     return tri[np.lexsort(tri.T[::-1])].astype(np.int32)
 
 
+def triangle_incidence(tri: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every triangle once per edge ``own``, with its partners ``p`` and ``q``."""
+    a, b, c = tri.T
+    return np.concatenate([a, b, c]), np.concatenate([b, a, a]), np.concatenate([c, c, b])
+
+
 def _partner_lists(tri: np.ndarray, m: int) -> list[list[int]]:
     """Per edge, the flat list ``[e1, e2, e1', e2', ...]`` of the partner
     edges of its triangles. The lists share one int object per edge id,
     which keeps the index a few pointers per triangle."""
-    a, b, c = tri.T
-    own = np.concatenate([a, b, c])
-    pairs = np.stack([np.concatenate([b, a, a]), np.concatenate([c, c, b])], axis=1)
+    own, p, q = triangle_incidence(tri)
+    pairs = np.stack([p, q], axis=1)
     flat = pairs[np.argsort(own, kind="stable")].ravel().tolist()
     flat = list(map(list(range(m)).__getitem__, flat))
     ends = (2 * np.cumsum(np.bincount(own, minlength=m))).tolist()

@@ -1,5 +1,7 @@
 """Rand / Sup / Tur random baselines and the AKT vertex baseline."""
+import collections
 import itertools
+from unittest import mock
 
 import numpy as np
 import pandas as pd
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as hst
 
+from repro.baselines import akt
 from repro.baselines.akt import akt_greedy, akt_sweep, anchored_ktruss_counts
 from repro.baselines.exact import exact_best
 from repro.baselines.random_sets import random_baseline, top_frac_pool
@@ -179,19 +182,49 @@ def graph_level_vertices(draw):
     return g, st, k, frozenset(verts)
 
 
+def akt_counts_by_definition(g, st, k, verts):
+    """``(objective, measured_gain)`` of the anchored k-truss of the
+    ``t >= k-1`` subgraph, built as its own graph, with the edges
+    incident to an anchored vertex protected (the oracle of
+    :func:`anchored_ktruss_counts`)."""
+    keep = [e for e in range(g.m) if st.t[e] >= k - 1]
+    sub = LocalGraph(pd.DataFrame(g.edges[keep], columns=["src", "dst"]))
+    t_sub = [int(st.t[g.edge_id(*sub.edge(i))]) for i in range(sub.m)]
+    protected = frozenset(i for i in range(sub.m) if set(sub.edge(i)) & verts)
+    frontier = [i for i in ktruss_edge_set(sub, k, protected) if t_sub[i] == k - 1]
+    return len(frontier), sum(1 for i in frontier if i not in protected)
+
+
 @given(graph_level_vertices())
 def test_akt_counts_match_definition(case):
     """AKT's counts equal the anchored k-truss of the ``t >= k-1``
     subgraph built by the definition-level oracle, with the edges
     incident to an anchored vertex protected."""
     g, st, k, verts = case
-    keep = [e for e in range(g.m) if st.t[e] >= k - 1]
-    sub = LocalGraph(pd.DataFrame(g.edges[keep], columns=["src", "dst"]))
-    t_sub = [int(st.t[g.edge_id(*sub.edge(i))]) for i in range(sub.m)]
-    protected = frozenset(i for i in range(sub.m) if set(sub.edge(i)) & verts)
-    frontier = [i for i in ktruss_edge_set(sub, k, protected) if t_sub[i] == k - 1]
-    expected = (len(frontier), sum(1 for i in frontier if i not in protected))
+    expected = akt_counts_by_definition(g, st, k, verts)
     assert anchored_ktruss_counts(g, st, k, verts) == expected
+
+
+@given(graph_level_vertices(), hst.integers(0, 3), hst.integers(1, 4))
+def test_akt_greedy_matches_definition(case, b, cap):
+    """``akt_greedy`` is the greedy of the definition: each round scores
+    the capped candidates (most frontier edges first, ties by vertex id)
+    by the oracle's objective, takes the largest with ties to the
+    smallest vertex, and reports the oracle's measured gain. The cap is
+    lowered so that it binds on these small graphs."""
+    g, st, k, _ = case
+    incid = collections.Counter(v for e in range(g.m) if st.t[e] == k - 1 for v in g.edge(e))
+    cands = sorted(incid, key=lambda v: (-incid[v], v))[: max(cap, b)]
+    chosen: set[int] = set()
+    for _ in range(b):
+        rest = [v for v in cands if v not in chosen]
+        if not rest:
+            break
+        score = {v: akt_counts_by_definition(g, st, k, frozenset(chosen | {v}))[0] for v in rest}
+        chosen.add(min(rest, key=lambda v: (-score[v], v)))
+    expected = akt_counts_by_definition(g, st, k, frozenset(chosen))[1], sorted(chosen)
+    with mock.patch.object(akt, "CAND_CAP", cap):
+        assert akt_greedy(g, st, k, b) == expected
 
 
 def test_akt_avg_below_gas(graph):

@@ -42,7 +42,6 @@ def micro_tables(spark):
     )
 
 
-@pytest.mark.slow
 def test_table3_micro(micro_tables):
     t3 = micro_tables[0]
     assert list(t3.columns) == COLUMNS[3]
@@ -56,7 +55,6 @@ def test_table3_micro(micro_tables):
     assert isinstance(format_row(row), str)
 
 
-@pytest.mark.slow
 def test_table4_micro(micro_tables):
     t4 = micro_tables[1]
     assert list(t4.columns) == COLUMNS[4]
@@ -66,7 +64,6 @@ def test_table4_micro(micro_tables):
     assert (t4["sum"] >= t4["max"]).all()
 
 
-@pytest.mark.slow
 def test_table5_micro(micro_tables):
     t5 = micro_tables[2]
     assert list(t5.columns) == COLUMNS[5]
@@ -93,7 +90,6 @@ def test_akt_budget_above_b_raises():
         run_tables(None, names=[], b=2, akt_b=3)
 
 
-@pytest.mark.slow
 def test_job_writes_three_tables(spark, tmp_path):
     """``jobs/tables.py`` runs on the test session and writes the three
     CSVs, one row per named dataset."""
